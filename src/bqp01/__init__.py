@@ -32,7 +32,6 @@ from .enumeration import best_y_for_x, solve_enumeration, solve_oracle
 from .errors import CrossValidationError, ParseError, SolverRefusal
 from .fixed_rank import (
     BasisStructure,
-    ReducedCostSign,
     candidates_from_basis,
     enumerate_dual_feasible_bases,
     solve_fixed_rank,
@@ -51,6 +50,7 @@ from .model import (
     BipartiteWeightedGraph,
     CutInstance,
     Instance,
+    IntegerInstance,
     Solution,
     as_fraction,
     evaluate_cut_objective,
@@ -95,10 +95,10 @@ __all__ = [
     "Eliminator",
     "FlowNetwork",
     "Instance",
+    "IntegerInstance",
     "ParseError",
     "RankFactorization",
     "RankOneForm",
-    "ReducedCostSign",
     "ReducedInstance",
     "SolveReport",
     "SolverRefusal",

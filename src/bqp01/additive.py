@@ -8,57 +8,49 @@ K = sum(y), L = sum(x):
 so for each fixed (K, L) the best x picks the L largest keys K a_i + c_i
 and the best y picks the K largest keys L b_j + d_j.  Sorting the keys once
 per K (resp. L) makes each row of partial optima a prefix-sum scan, and the
-overall optimum is the best of the (n+1)(m+1) combinations.
+overall optimum is the best of the (n+1)(m+1) combinations.  The scan runs
+on the instance's integer form (``Instance.integer``), whose matrix has the
+integer decomposition a_i = q_i0, b_j = q_0j - q_00.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
 
 from .analysis import AdditiveDecomposition, additive_mismatch
-from .model import Instance, Solution
+from .model import IntegerInstance, Instance, Solution
 
 
-def common_denominator_scale(*vectors: Sequence[Fraction]) -> int:
-    """Least common multiple of every denominator across the vectors."""
-    scale = 1
-    for vector in vectors:
-        for value in vector:
-            scale = lcm(scale, value.denominator)
-    return scale
-
-
-def solve_additive(inst: Instance, dec: AdditiveDecomposition) -> Solution:
+def solve_additive(inst: Instance | IntegerInstance, dec: AdditiveDecomposition) -> Solution:
     """Optimal solution given a verified additive decomposition of inst.q.
 
     Raises ValueError if the decomposition does not reproduce the matrix
     exactly.  Ties between (K, L) pairs prefer the smallest K, then the
     smallest L; ties inside a sort prefer smaller indices.  The result is
-    invariant under the shift (a + t, b - t) of the decomposition.
+    invariant under the shift (a + t, b - t) of the decomposition, so the
+    scan may use the integer decomposition of ``inst.integer`` instead of
+    ``dec``.
     """
     m, n = inst.m, inst.n
     a, b = dec.row_offsets, dec.col_offsets
     if len(a) != m or len(b) != n:
         raise ValueError("decomposition dimensions do not match the instance")
-    bad = additive_mismatch(inst.q, a, b)
+    # dec reproduces q exactly when it matches row 0 and column 0 and q
+    # itself is additive, which the integer matrix checks in plain ints.
+    q = inst.q
+    edge = [(i, 0) for i in range(m)] + [(0, j) for j in range(n)]
+    bad = next(((i, j) for i, j in edge if q[i][j] != a[i] + b[j]), None)
+    work = inst.integer
+    bad = bad or additive_mismatch(work.q)
     if bad is not None:
         i, j = bad
         raise ValueError(
             f"decomposition mismatch at ({i}, {j}): "
-            f"{inst.q[i][j]} != {a[i]} + {b[j]}"
+            f"{q[i][j]} != {a[i]} + {b[j]}"
         )
-
-    # Clear denominators once: scaling a, b, c, d, c0 by the same positive
-    # integer scales every candidate value uniformly, so the argmax is
-    # unchanged and plain integer arithmetic carries the whole scan.
-    scale = common_denominator_scale(a, b, inst.c, inst.d, (inst.c0,))
-    ia = [int(v * scale) for v in a]
-    ib = [int(v * scale) for v in b]
-    ic = [int(v * scale) for v in inst.c]
-    id_ = [int(v * scale) for v in inst.d]
-    ic0 = int(inst.c0 * scale)
+    ia = [row[0] for row in work.q]
+    ib = [v - work.q[0][0] for v in work.q[0]]
+    ic, id_ = work.c, work.d
 
     # y-side prefix table: row L holds, for each K, the best sum of K keys
     # L*b_j + d_j; (m+1) rows of (n+1) prefix sums.
@@ -101,5 +93,5 @@ def solve_additive(inst: Instance, dec: AdditiveDecomposition) -> Solution:
     for _, j in y_pairs[:best_k]:
         y[j] = 1
 
-    value = Fraction(best_total + ic0, scale)
+    value = Fraction(best_total + work.c0, work.scale)
     return Solution(tuple(x), tuple(y), value)

@@ -1,11 +1,12 @@
 """Structure detection for cost matrices.
 
 Four independent detectors drive solver selection: exact rank factorization
-through reduced row echelon form, additive decomposability q_ij = a_i + b_j,
-entrywise nonnegativity, and the minimum set of rows/columns whose deletion
-removes all negative entries (a minimum vertex cover of the negativity
-graph, via maximum bipartite matching and the alternating-reachability
-cover construction).
+by fraction-free Gauss-Jordan elimination (Bareiss), additive
+decomposability q_ij = a_i + b_j, entrywise nonnegativity, and the minimum
+set of rows/columns whose deletion removes all negative entries (a minimum
+vertex cover of the negativity graph, via maximum bipartite matching and
+the alternating-reachability cover construction).  The detectors take a
+matrix of exact rationals as it is; dispatch passes them ints.
 """
 
 from __future__ import annotations
@@ -14,21 +15,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import freeze_matrix
+from .model import clear_denominators, freeze_matrix
 
 
 @dataclass(frozen=True)
 class RankFactorization:
-    """Exact factorization q = left @ right with inner dimension p = rank(q).
+    """Exact factorization q = left @ right / denominator, p = rank(q).
 
     ``left`` is m x p (the pivot columns of q, so it has full column rank)
-    and ``right`` is p x n (the nonzero rows of the reduced row echelon
-    form, so it has full row rank).
+    and ``right`` is p x n (denominator times the nonzero rows of the
+    reduced row echelon form, so it has full row rank).  Rational factors
+    have denominator 1; ``IntegerInstance.factorization`` is all ints.
     """
 
     p: int
     left: tuple[tuple[Fraction, ...], ...]
     right: tuple[tuple[Fraction, ...], ...]
+    denominator: int = 1
 
 
 @dataclass(frozen=True)
@@ -55,38 +58,52 @@ class Eliminator:
         return len(self.rows) + len(self.cols)
 
 
+def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (rows, pivots, det) with rows = det * RREF(matrix) and det > 0
+    (+-det of the pivot minor; 1 if there is no pivot).  Pivots take the
+    first nonzero entry in column order.  Each step replaces every other
+    row by (pivot * row - factor * pivot row) / previous pivot; by
+    Sylvester's identity the division is exact and every entry is a minor
+    of the input (Bareiss, Math. Comp. 22, 1968), so no fractions arise.
+    """
+    rows = [list(row) for row in matrix]
+    m = len(rows)
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top = rows[r]
+        pivot = top[col]
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i != r and (factor or pivot != prev):
+                # Rows below the pivot are zero left of col.
+                lo = col if i > r else 0
+                row[lo:] = [(pivot * a - factor * b) // prev for a, b in zip(row[lo:], top[lo:])]
+        pivots.append(col)
+        prev = pivot
+    if prev < 0:
+        return [[-v for v in row] for row in rows], pivots, -prev
+    return rows, pivots, prev
+
+
 def rref(matrix: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and pivot column indices, exactly.
 
     Pivots take the first nonzero entry in column order; with exact
-    rationals no magnitude-based pivoting is needed.
+    arithmetic no magnitude-based pivoting is needed.  The matrix is
+    scaled to integers and eliminated by :func:`bareiss`.
     """
-    rows = [list(row) for row in freeze_matrix(matrix)]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        if pivot != 1:
-            rows[r] = [v / pivot for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
+    rows, pivots, det = bareiss(clear_denominators(freeze_matrix(matrix))[0])
+    return [[Fraction(v, det) for v in row] for row in rows], pivots
 
 
 def rank_factorize(matrix: Sequence[Sequence]) -> RankFactorization:
@@ -103,25 +120,17 @@ def rank_factorize(matrix: Sequence[Sequence]) -> RankFactorization:
     return RankFactorization(p, left, right)
 
 
-def additive_mismatch(
-    q: Sequence[Sequence[Fraction]],
-    row_offsets: Sequence[Fraction],
-    col_offsets: Sequence[Fraction],
-) -> tuple[int, int] | None:
-    """First (i, j) with q_ij != row_offsets[i] + col_offsets[j], else None.
+def additive_mismatch(q: Sequence[Sequence]) -> tuple[int, int] | None:
+    """First (i, j) with q_ij - q_i0 - q_0j + q_00 != 0, else None.
 
-    The comparison q = rn/rd + cn/cd is cross-multiplied into integer
-    arithmetic, which keeps the full-matrix scan fast at large sizes.
+    None exactly when q_ij = a_i + b_j for some vectors a and b.
     """
-    rn = [v.numerator for v in row_offsets]
-    rd = [v.denominator for v in row_offsets]
-    cn = [v.numerator for v in col_offsets]
-    cd = [v.denominator for v in col_offsets]
+    top = q[0]
+    base = top[0]
     for i, row in enumerate(q):
-        ani, adi = rn[i], rd[i]
-        for j, v in enumerate(row):
-            cdj = cd[j]
-            if v.numerator * adi * cdj != (ani * cdj + cn[j] * adi) * v.denominator:
+        shift = row[0] - base
+        for j, (v, t) in enumerate(zip(row, top)):
+            if v != t + shift:
                 return (i, j)
     return None
 
@@ -134,18 +143,17 @@ def detect_additive(matrix: Sequence[Sequence]) -> AdditiveDecomposition | None:
     q_ij - q_i0 - q_0j + q_00 = 0.  Any other decomposition differs by a
     constant shift between the two vectors.
     """
-    q = freeze_matrix(matrix)
-    base = q[0][0]
-    col_offsets = tuple(v - base for v in q[0])
-    row_offsets = tuple(row[0] for row in q)
-    if additive_mismatch(q, row_offsets, col_offsets) is not None:
+    if additive_mismatch(matrix) is not None:
         return None
-    return AdditiveDecomposition(row_offsets, col_offsets)
+    base = matrix[0][0]
+    return AdditiveDecomposition(
+        tuple(row[0] for row in matrix), tuple(v - base for v in matrix[0])
+    )
 
 
 def detect_nonnegative(matrix: Sequence[Sequence]) -> bool:
     """True iff every entry of the matrix is >= 0."""
-    return all(v >= 0 for row in freeze_matrix(matrix) for v in row)
+    return all(v >= 0 for row in matrix for v in row)
 
 
 def maximum_bipartite_matching(
@@ -187,9 +195,8 @@ def min_negative_eliminator(matrix: Sequence[Sequence]) -> Eliminator:
     vertices (non-matching edges left-to-right, matching edges
     right-to-left), the cover is (L minus Z) union (R intersect Z).
     """
-    q = freeze_matrix(matrix)
-    m, n = len(q), len(q[0])
-    adjacency = [[j for j in range(n) if q[i][j] < 0] for i in range(m)]
+    m, n = len(matrix), len(matrix[0])
+    adjacency = [[j for j, v in enumerate(row) if v < 0] for row in matrix]
     size, match_left, match_right = maximum_bipartite_matching(m, n, adjacency)
 
     left_in_z = [match_left[i] == -1 for i in range(m)]

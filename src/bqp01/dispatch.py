@@ -23,10 +23,9 @@ from .analysis import (
     detect_additive,
     detect_nonnegative,
     min_negative_eliminator,
-    rank_factorize,
 )
 from .errors import CrossValidationError, SolverRefusal
-from .model import CutInstance, Instance, Solution, normalize_orientation
+from .model import CutInstance, Instance, IntegerInstance, Solution, normalize_orientation
 from .transforms import cut_to_bqp01
 
 ALGORITHMS = (
@@ -79,13 +78,14 @@ class SolveReport:
 
 def analyze(inst: Instance | CutInstance) -> AnalysisReport:
     """Run all structure detectors on the instance's cost matrix."""
+    q = inst.integer.q
     return AnalysisReport(
         m=inst.m,
         n=inst.n,
-        rank=rank_factorize(inst.q).p,
-        additive=detect_additive(inst.q),
-        nonnegative=detect_nonnegative(inst.q),
-        eliminator=min_negative_eliminator(inst.q),
+        rank=inst.integer.factorization.p,
+        additive=detect_additive(inst.q),  # offsets in the instance's own units
+        nonnegative=detect_nonnegative(q),
+        eliminator=min_negative_eliminator(q),
     )
 
 
@@ -101,22 +101,22 @@ def dispatch_solve(
     """Solve with the named algorithm, or pick one automatically.
 
     Cut-form instances are converted to 0-1 form, solved, and mapped back
-    to signs at the same objective value.  The instance is oriented so the
-    enumerated/parameterized side is the shorter one; solutions are
-    reported in the original orientation.  ``auto`` tries, in order:
-    nonnegative -> mincut, additive -> additive, rank <= 1 -> rank1,
-    rank <= p_limit -> rankp, m <= enum_limit -> enum, eliminator within
-    limit -> eliminator; if nothing applies a SolverRefusal carrying the
-    full analysis report is raised.
+    to signs at the same objective value.  Solvers run on the integer
+    form, oriented so the enumerated/parameterized side is the shorter one;
+    solutions are reported in the original orientation.  ``auto`` tries,
+    in order: nonnegative -> mincut, additive -> additive, rank <= 1 ->
+    rank1, rank <= p_limit -> rankp, m <= enum_limit -> enum, eliminator
+    within limit -> eliminator; if nothing applies a SolverRefusal
+    carrying the analysis report is raised.  A reported value that differs
+    from the objective at its point raises CrossValidationError.
+    ``wall_time`` times the whole call, conversions and that check too.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
-    is_cut = isinstance(inst, CutInstance)
-    work: Instance = cut_to_bqp01(inst) if is_cut else inst
-    work, transposed = normalize_orientation(work)
-
     start = time.perf_counter()
+    is_cut = isinstance(inst, CutInstance)
+    work, transposed = normalize_orientation((cut_to_bqp01(inst) if is_cut else inst).integer)
     if algorithm == "auto":
         chosen, detected, solution = _auto_solve(
             work, p_limit, enum_limit, eliminator_limit
@@ -126,9 +126,13 @@ def dispatch_solve(
         detected, solution = _run_named(
             work, algorithm, p_limit, enum_limit, eliminator_limit, dual_filter
         )
-    elapsed = time.perf_counter() - start
 
     x, y = solution.x, solution.y
+    if work.objective(x, y) != solution.value * work.scale:
+        raise CrossValidationError(
+            f"{chosen} reported {solution.value}, but the objective at its point "
+            f"is {Fraction(work.objective(x, y), work.scale)}"
+        )
     if transposed:
         x, y = y, x
     if is_cut:
@@ -138,19 +142,19 @@ def dispatch_solve(
         solution=Solution(x, y, solution.value),
         algorithm=chosen,
         detected=detected,
-        wall_time=elapsed,
+        wall_time=time.perf_counter() - start,
     )
 
 
 def _auto_solve(
-    work: Instance, p_limit: int, enum_limit: int, eliminator_limit: int
+    work: IntegerInstance, p_limit: int, enum_limit: int, eliminator_limit: int
 ) -> tuple[str, str, Solution]:
     if detect_nonnegative(work.q):
         return "mincut", "nonnegative matrix", mincut.solve_nonnegative(work)
     dec = detect_additive(work.q)
     if dec is not None:
         return "additive", "additive matrix", additive_mod.solve_additive(work, dec)
-    rank = rank_factorize(work.q).p
+    rank = work.factorization.p
     if rank <= 1:
         form = rank_one.RankOneForm.from_instance(work)
         return "rank1", "rank-one matrix", rank_one.solve_rank_one(form)
@@ -173,17 +177,16 @@ def _auto_solve(
             f"negative eliminator of size {elim.size}",
             mincut.solve_with_eliminator(work, elim, eliminator_limit),
         )
-    report = analyze(work)
     raise SolverRefusal(
-        f"no solver applicable within limits: rank {report.rank} > {p_limit}, "
-        f"m {work.m} > {enum_limit}, eliminator {report.eliminator.size} > "
+        f"no solver applicable within limits: rank {rank} > {p_limit}, "
+        f"m {work.m} > {enum_limit}, eliminator {elim.size} > "
         f"{eliminator_limit}, matrix not nonnegative or additive",
-        report=report,
+        report=AnalysisReport(work.m, work.n, rank, None, False, elim),
     )
 
 
 def _run_named(
-    work: Instance,
+    work: IntegerInstance,
     algorithm: str,
     p_limit: int,
     enum_limit: int,
@@ -198,9 +201,8 @@ def _run_named(
         form = rank_one.RankOneForm.from_instance(work)
         return "rank-one matrix", rank_one.solve_rank_one(form)
     if algorithm == "rankp":
-        rank = rank_factorize(work.q).p
         return (
-            f"rank-{rank} matrix",
+            f"rank-{work.factorization.p} matrix",
             fixed_rank.solve_fixed_rank(work, p_limit, dual_filter=dual_filter),
         )
     if algorithm == "additive":

@@ -9,50 +9,53 @@ step and completing each x with the closed-form optimal y.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .errors import SolverRefusal
-from .model import Instance, Solution
+from .model import IntegerInstance, Instance, Solution
 
 DEFAULT_ENUM_LIMIT = 25
 
 
-def best_y_for_x(inst: Instance, x: Sequence[int]) -> tuple[tuple[int, ...], Fraction]:
+def best_y_for_x(
+    inst: Instance | IntegerInstance, x: Sequence[int]
+) -> tuple[tuple[int, ...], Fraction]:
     """Optimal y for fixed x: y_j = 1 iff sum_i q_ij x_i + d_j > 0.
 
     Ties (zero coefficient) leave y_j = 0; the value is unaffected.
     Returns (y, objective value).
     """
-    if len(x) != inst.m:
-        raise ValueError(f"x has length {len(x)}, expected {inst.m}")
-    sums = [Fraction(0)] * inst.n
-    for i, xi in enumerate(x):
-        if xi:
-            row = inst.q[i]
-            for j in range(inst.n):
-                sums[j] += row[j]
-    value = inst.c0
-    y = [0] * inst.n
-    for j in range(inst.n):
-        gain = sums[j] + inst.d[j]
-        if gain > 0:
-            y[j] = 1
-            value += gain
-    for i, xi in enumerate(x):
-        if xi:
-            value += inst.c[i]
-    return tuple(y), value
+    work = inst.integer
+    if len(x) != work.m:
+        raise ValueError(f"x has length {len(x)}, expected {work.m}")
+    gains, value = _column_gains(work, x)
+    value += sum(g for g in gains if g > 0)
+    return tuple(1 if g > 0 else 0 for g in gains), Fraction(value, work.scale)
 
 
-def solve_enumeration(inst: Instance, m_limit: int = DEFAULT_ENUM_LIMIT) -> Solution:
+def _column_gains(work: IntegerInstance, x: Sequence[int]) -> tuple[list[int], int]:
+    """(d_j + sum_i q_ij x_i for each j, c.x + c0) at the point x."""
+    gains, base = list(work.d), work.c0
+    for xi, row, ci in zip(x, work.q, work.c):
+        if xi:
+            gains = [g + v for g, v in zip(gains, row)]
+            base += ci
+    return gains, base
+
+
+def solve_enumeration(
+    inst: Instance | IntegerInstance, m_limit: int = DEFAULT_ENUM_LIMIT
+) -> Solution:
     """Optimal solution by enumerating all 2^m x-vectors.
 
-    Gray-code order flips a single x_i per step, so the n column sums are
-    updated in O(n); total cost O(2^m n) after O(mn) setup.  Among optimal
-    x-vectors the lexicographically smallest is returned, completed by
-    `best_y_for_x`.
+    Gray-code order flips a single x_i per step, so the n column gains
+    d_j + sum_i q_ij x_i are updated in O(n) integer operations; total cost
+    O(2^m n) after O(mn) setup.  Among optimal x-vectors the
+    lexicographically smallest is returned, completed by `best_y_for_x`.
     """
-    m, n = inst.m, inst.n
+    work = inst.integer
+    m = work.m
     if m > m_limit:
         raise SolverRefusal(
             f"enumeration over 2^{m} x-vectors exceeds the limit of 2^{m_limit}; "
@@ -60,81 +63,52 @@ def solve_enumeration(inst: Instance, m_limit: int = DEFAULT_ENUM_LIMIT) -> Solu
             limit=m_limit,
             measured=m,
         )
-    sums = [Fraction(0)] * n
-    d = inst.d
-    c = inst.c
-    zero = Fraction(0)
-    linear = zero
-
-    def current_value() -> Fraction:
-        total = inst.c0 + linear
-        for j in range(n):
-            gain = sums[j] + d[j]
-            if gain > 0:
-                total += gain
-        return total
-
+    q, c = work.q, work.c
+    gains = list(work.d)
+    linear = 0
     mask = 0
-    best_value = current_value()
+    best_value = sum(g for g in gains if g > 0)
     best_mask = 0
     for step in range(1, 1 << m):
         i = (step & -step).bit_length() - 1
         bit = 1 << i
         mask ^= bit
-        row = inst.q[i]
         if mask & bit:
             linear += c[i]
-            for j in range(n):
-                sums[j] += row[j]
+            gains = [g + v for g, v in zip(gains, q[i])]
         else:
             linear -= c[i]
-            for j in range(n):
-                sums[j] -= row[j]
-        value = current_value()
+            gains = [g - v for g, v in zip(gains, q[i])]
+        value = linear + sum([g for g in gains if g > 0])
         if value > best_value:
             best_value = value
             best_mask = mask
-        elif value == best_value and _mask_vector(mask, m) < _mask_vector(best_mask, m):
-            best_mask = mask
-    x = _mask_vector(best_mask, m)
-    y, value = best_y_for_x(inst, x)
+        elif value == best_value:
+            # x_i is bit i, so the lexicographically smaller vector is the
+            # one without the lowest bit where the two masks differ.
+            diff = mask ^ best_mask
+            if not mask & diff & -diff:
+                best_mask = mask
+    x = tuple((best_mask >> i) & 1 for i in range(m))
+    y, value = best_y_for_x(work, x)
     return Solution(x, y, value)
 
 
-def solve_oracle(inst: Instance) -> Solution:
+def solve_oracle(inst: Instance | IntegerInstance) -> Solution:
     """Reference optimum over all 2^(m+n) assignments.
 
     Every (x, y) pair's objective is evaluated; no structural shortcut is
     taken.  Intended for cross-validating the specialized solvers on small
-    instances.
+    instances.  Pairs are scanned in lexicographic order and the first
+    best one is kept, so ties prefer the smallest (x, y).
     """
-    m, n = inst.m, inst.n
-    best: tuple[Fraction, tuple[int, ...], tuple[int, ...]] | None = None
-    for xmask in range(1 << m):
-        x = _mask_vector(xmask, m)
-        sums = [inst.d[j] for j in range(n)]
-        for i in range(m):
-            if x[i]:
-                row = inst.q[i]
-                for j in range(n):
-                    sums[j] += row[j]
-        base = inst.c0
-        for i in range(m):
-            if x[i]:
-                base += inst.c[i]
-        for ymask in range(1 << n):
-            y = _mask_vector(ymask, n)
-            value = base
-            for j in range(n):
-                if y[j]:
-                    value += sums[j]
-            if best is None or value > best[0] or (
-                value == best[0] and (x, y) < (best[1], best[2])
-            ):
-                best = (value, x, y)
-    assert best is not None
-    return Solution(best[1], best[2], best[0])
+    work = inst.integer
 
+    def scored():
+        for x in product((0, 1), repeat=work.m):
+            gains, base = _column_gains(work, x)
+            for y in product((0, 1), repeat=work.n):
+                yield base + sum(g for g, yj in zip(gains, y) if yj), x, y
 
-def _mask_vector(mask: int, size: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(size))
+    value, x, y = max(scored(), key=lambda item: item[0])
+    return Solution(x, y, Fraction(value, work.scale))

@@ -27,100 +27,86 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .analysis import rank_factorize
+from .analysis import bareiss
 from .errors import SolverRefusal
-from .model import Instance, Solution, evaluate_objective, freeze_matrix, freeze_vector
+from .model import (
+    IntegerInstance,
+    Instance,
+    Solution,
+    clear_denominators,
+    freeze_matrix,
+    freeze_vector,
+)
 
 DEFAULT_P_LIMIT = 6
 
 
 @dataclass(frozen=True)
-class ReducedCostSign:
-    """Sign of a symbolically perturbed reduced cost.
-
-    ``coefficients`` holds the nonzero perturbation coefficients as
-    (variable index, value) pairs sorted by index.  The sign is that of
-    ``base`` when nonzero, otherwise of the first nonzero coefficient;
-    the coefficient -1 at the nonbasic variable itself guarantees the
-    sign is never zero.
-    """
-
-    base: Fraction
-    coefficients: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def sign(self) -> int:
-        if self.base != 0:
-            return 1 if self.base > 0 else -1
-        for _, value in self.coefficients:
-            if value != 0:
-                return 1 if value > 0 else -1
-        raise ValueError("perturbed reduced cost is identically zero")
-
-
-@dataclass(frozen=True)
 class BasisStructure:
-    """Partition of x-variables into basic, at-lower-bound, at-upper-bound.
-
-    ``basis_inverse`` is the exact inverse of the p x p basis matrix whose
-    columns are the constraint columns of the basic variables.
-    """
+    """Partition of x-variables into basic, at-lower-bound, at-upper-bound."""
 
     basis: tuple[int, ...]
     lower: tuple[int, ...]
     upper: tuple[int, ...]
-    basis_inverse: tuple[tuple[Fraction, ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.basis) + len(self.lower) + len(self.upper)
 
 
-def invert_matrix(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[tuple[Fraction, ...], ...] | None:
-    """Exact inverse by Gauss-Jordan elimination, or None if singular."""
+def integer_inverse(
+    rows: Sequence[Sequence[int]],
+) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """(det, adj) with adj @ rows == det * I for a square integer matrix.
+
+    :func:`bareiss` on [rows | I] leaves [D I | D rows^-1] with D = |det|,
+    so the pair is the determinant and adjugate up to a common sign.  None
+    if the matrix is singular; the empty matrix gives (1, ()).
+    """
     p = len(rows)
-    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(p)] for i in range(p)]
-    for col in range(p):
-        pivot_row = None
-        for i in range(col, p):
-            if aug[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        if pivot != 1:
-            aug[col] = [v / pivot for v in aug[col]]
-        for i in range(p):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return tuple(tuple(row[p:]) for row in aug)
+    aug, pivots, det = bareiss(
+        [list(row) + [int(i == j) for j in range(p)] for i, row in enumerate(rows)]
+    )
+    if pivots != list(range(p)):
+        return None
+    return det, tuple(tuple(row[p:]) for row in aug)
 
 
 def reduced_cost_sign(
-    left: Sequence[Sequence[Fraction]],
-    c: Sequence[Fraction],
+    left: Sequence[Sequence[int]],
+    c: Sequence[int],
     basis: Sequence[int],
-    basis_inverse: Sequence[Sequence[Fraction]],
+    det: int,
+    adjugate: Sequence[Sequence[int]],
     j: int,
-) -> ReducedCostSign:
-    """Perturbed reduced cost of nonbasic variable j for the given basis."""
-    p = len(basis)
+) -> int:
+    """Sign (+1 or -1) of the perturbed reduced cost of nonbasic variable j.
+
+    ``(det, adjugate)`` is the :func:`integer_inverse` of the basis matrix,
+    so det > 0.  The reduced cost is c_B.w - c_j with w = B^-1 a_j; its
+    sign is that of the first nonzero in (reduced cost, perturbation
+    coefficients by variable index), the coefficients being w_k at
+    basis[k] and -1 at j, so it is never zero.  All are computed times det.
+    """
     column = left[j]
-    multipliers = [
-        sum((basis_inverse[k][l] * column[l] for l in range(p)), Fraction(0))
-        for k in range(p)
-    ]
-    base = sum(
-        (c[basis[k]] * multipliers[k] for k in range(p)), Fraction(0)
-    ) - c[j]
-    coeffs = {basis[k]: multipliers[k] for k in range(p) if multipliers[k] != 0}
-    coeffs[j] = Fraction(-1)
-    return ReducedCostSign(base, tuple(sorted(coeffs.items())))
+    w = [sum(a * v for a, v in zip(row, column)) for row in adjugate]
+    base = sum(c[i] * wk for i, wk in zip(basis, w)) - det * c[j]
+    if not base:
+        coeffs = dict(zip(basis, w))
+        coeffs[j] = -det
+        base = next(coeffs[i] for i in sorted(coeffs) if coeffs[i])
+    return 1 if base > 0 else -1
+
+
+def _nonsingular_bases(
+    left: Sequence[Sequence[int]], m: int
+) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
+    """(basis, det, adjugate) for each nonsingular p-subset of rows."""
+    p = len(left[0]) if left and left[0] else 0
+    for basis in combinations(range(m), p):
+        inverse = integer_inverse([[left[i][k] for i in basis] for k in range(p)])
+        if inverse is not None:
+            yield (basis, *inverse)
 
 
 def enumerate_dual_feasible_bases(
@@ -133,38 +119,25 @@ def enumerate_dual_feasible_bases(
     structure: nonbasic variables go to the lower set on positive reduced
     cost and to the upper set on negative (signs are never zero under the
     symbolic perturbation).  At most C(m, p) structures are returned.
+    Scaling ``left`` and ``c`` to integers keeps every sign.  Raises
+    ValueError if no p-subset is nonsingular (column rank below p).
     """
-    left = freeze_matrix(left) if left and left[0] else tuple(tuple(r) for r in left)
-    c = freeze_vector(c)
+    left = clear_denominators(freeze_matrix(left))[0]
+    (c,), _ = clear_denominators([freeze_vector(c)])
     m = len(c)
     if len(left) != m:
         raise ValueError("factor row count must match objective length")
-    p = len(left[0]) if left else 0
-    if p > 0:
-        probe = rank_factorize(tuple(zip(*left)))
-        if probe.p != p:
-            raise ValueError(f"factor has column rank {probe.p}, expected {p}")
     structures = []
-    for basis in combinations(range(m), p):
-        basis_matrix = [[left[i][k] for i in basis] for k in range(p)]
-        inverse = invert_matrix(basis_matrix)
-        if inverse is None and p > 0:
-            continue
-        if inverse is None:
-            inverse = ()
+    for basis, det, adjugate in _nonsingular_bases(left, m):
         lower, upper = [], []
         basis_set = set(basis)
         for j in range(m):
-            if j in basis_set:
-                continue
-            rc = reduced_cost_sign(left, c, basis, inverse, j)
-            if rc.sign > 0:
-                lower.append(j)
-            else:
-                upper.append(j)
-        structures.append(
-            BasisStructure(basis, tuple(lower), tuple(upper), inverse)
-        )
+            if j not in basis_set:
+                sign = reduced_cost_sign(left, c, basis, det, adjugate, j)
+                (lower if sign > 0 else upper).append(j)
+        structures.append(BasisStructure(basis, tuple(lower), tuple(upper)))
+    if not structures:
+        raise ValueError("factor does not have full column rank")
     return structures
 
 
@@ -177,19 +150,12 @@ def enumerate_all_basis_structures(
     used to check that dual-feasibility filtering never discards the
     optimum.  Not for production sizes.
     """
-    p = len(left[0]) if left and left[0] else 0
-    for basis in combinations(range(m), p):
-        basis_matrix = [[left[i][k] for i in basis] for k in range(p)]
-        inverse = invert_matrix(basis_matrix)
-        if inverse is None and p > 0:
-            continue
-        if inverse is None:
-            inverse = ()
+    for basis, _, _ in _nonsingular_bases(clear_denominators(freeze_matrix(left))[0], m):
         rest = [j for j in range(m) if j not in set(basis)]
         for bits in product((0, 1), repeat=len(rest)):
             lower = tuple(j for j, bit in zip(rest, bits) if bit == 0)
             upper = tuple(j for j, bit in zip(rest, bits) if bit == 1)
-            yield BasisStructure(basis, lower, upper, inverse)
+            yield BasisStructure(basis, lower, upper)
 
 
 def candidates_from_basis(structure: BasisStructure) -> list[tuple[int, ...]]:
@@ -211,6 +177,21 @@ def candidates_from_basis(structure: BasisStructure) -> list[tuple[int, ...]]:
     return result
 
 
+def _completion(right, d, left, x) -> tuple[tuple[int, ...], object]:
+    """Optimal y for fixed x and its gain: y_j = 1 iff coefficient_j > 0,
+    with coefficient_j = d_j + sum_k right[k][j] * (left^T x)_k; the gain
+    is the sum of the positive coefficients."""
+    t = [0] * len(right)
+    for xi, row in zip(x, left):
+        if xi:
+            t = [a + b for a, b in zip(t, row)]
+    coeffs = list(d)
+    for tk, row in zip(t, right):
+        if tk:
+            coeffs = [a + tk * b for a, b in zip(coeffs, row)]
+    return tuple(1 if v > 0 else 0 for v in coeffs), sum(v for v in coeffs if v > 0)
+
+
 def complete_y(
     right: Sequence[Sequence[Fraction]],
     d: Sequence[Fraction],
@@ -218,37 +199,27 @@ def complete_y(
     x: Sequence[int],
 ) -> tuple[int, ...]:
     """Closed-form optimal y for fixed x: y_j = 1 iff its coefficient > 0."""
-    p = len(right)
-    sums = [
-        sum((left[i][k] for i in range(len(x)) if x[i]), Fraction(0))
-        for k in range(p)
-    ]
-    n = len(d)
-    y = [0] * n
-    for j in range(n):
-        coeff = d[j]
-        for k in range(p):
-            coeff += right[k][j] * sums[k]
-        if coeff > 0:
-            y[j] = 1
-    return tuple(y)
+    return _completion(right, d, left, x)[0]
 
 
 def solve_fixed_rank(
-    inst: Instance,
+    inst: Instance | IntegerInstance,
     p_limit: int = DEFAULT_P_LIMIT,
     *,
     dual_filter: bool = True,
 ) -> Solution:
     """Optimal solution via basis-structure candidate enumeration.
 
-    Rank-factorizes the cost matrix, enumerates candidate x-vectors from
-    all dual feasible basis structures (or from the exponential superset
-    when ``dual_filter`` is False), completes each with its closed-form y,
-    and returns the best under the original objective.  Ties prefer the
-    lexicographically smallest (x, y).
+    Uses the instance's integer rank factorization q = L R / D, enumerates
+    candidate x-vectors from all dual feasible basis structures (or from
+    the exponential superset when ``dual_filter`` is False), completes
+    each with its closed-form y, and returns the best.  Each candidate is
+    scored in O((m + n) p) integer operations from t = L^T x: D times the
+    objective is D (c.x + c0) plus the positive coefficients
+    D d_j + (R^T t)_j.  Ties prefer the lexicographically smallest (x, y).
     """
-    fact = rank_factorize(inst.q)
+    work = inst.integer
+    fact = work.factorization
     if fact.p > p_limit:
         raise SolverRefusal(
             f"matrix rank {fact.p} exceeds the configured limit {p_limit}",
@@ -257,19 +228,21 @@ def solve_fixed_rank(
         )
     if dual_filter:
         structures: Iterable[BasisStructure] = enumerate_dual_feasible_bases(
-            fact.left, inst.c
+            fact.left, work.c
         )
     else:
-        structures = enumerate_all_basis_structures(fact.left, inst.m)
+        structures = enumerate_all_basis_structures(fact.left, work.m)
 
-    best: tuple[Fraction, tuple[int, ...], tuple[int, ...]] | None = None
-    bound = comb(inst.m, fact.p) * (2 ** fact.p)
+    den = fact.denominator
+    d = [den * v for v in work.d]
+    best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
+    bound = comb(work.m, fact.p) * (2 ** fact.p)
     count = 0
     for structure in structures:
         for x in candidates_from_basis(structure):
             count += 1
-            y = complete_y(fact.right, inst.d, fact.left, x)
-            value = evaluate_objective(inst, x, y)
+            y, gain = _completion(fact.right, d, fact.left, x)
+            value = gain + den * (work.c0 + sum(ci for ci, xi in zip(work.c, x) if xi))
             if best is None or value > best[0] or (
                 value == best[0] and (x, y) < (best[1], best[2])
             ):
@@ -277,4 +250,4 @@ def solve_fixed_rank(
     if dual_filter and count > bound:
         raise AssertionError(f"candidate count {count} exceeds C(m,p)*2^p = {bound}")
     assert best is not None
-    return Solution(best[1], best[2], best[0])
+    return Solution(best[1], best[2], Fraction(best[0], den * work.scale))

@@ -19,6 +19,9 @@ Matrices with scattered negative entries are handled by fixing the
 variables of a negative eliminator to all 0/1 combinations, folding each
 fixing into a reduced nonnegative instance, and taking the best of the
 2^|eliminator| min-cut solves.
+
+The solvers build their networks from ``Instance.integer``, so every
+capacity is an int; :func:`max_flow` is the rational interface.
 """
 
 from __future__ import annotations
@@ -27,12 +30,18 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Mapping, Sequence
 
 from .analysis import Eliminator
 from .errors import SolverRefusal
-from .model import Instance, Solution, as_fraction
+from .model import (
+    IntegerInstance,
+    Instance,
+    Solution,
+    _bilinear_value,
+    as_fraction,
+    clear_denominators,
+)
 
 DEFAULT_ELIMINATOR_LIMIT = 25
 
@@ -65,37 +74,35 @@ class FlowNetwork:
 def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
     """Exact maximum flow value and a minimum-cut source side.
 
-    Capacities are scaled to integers by their common denominator, Dinic's
+    Capacities are scaled to integers by ``clear_denominators``, Dinic's
     level-graph/blocking-flow scheme runs in integer arithmetic, and the
     value is scaled back.  The returned node set is the residual
     reachability set of the source, whose outgoing arcs form a minimum cut.
     """
-    scale = 1
-    for _, _, w in net.arcs:
-        scale = lcm(scale, w.denominator)
+    (caps,), scale = clear_denominators([[w for _, _, w in net.arcs]])
+    arcs = [(u, v, w) for (u, v, _), w in zip(net.arcs, caps)]
+    total, side = _dinic(net.node_count, net.source, net.sink, arcs)
+    return Fraction(total, scale), side
 
-    heads: list[list[int]] = [[] for _ in range(net.node_count)]
-    to: list[int] = []
-    cap: list[int] = []
 
-    def add_arc(u: int, v: int, capacity: int) -> None:
-        heads[u].append(len(to))
-        to.append(v)
-        cap.append(capacity)
-        heads[v].append(len(to))
-        to.append(u)
-        cap.append(0)
+def _dinic(
+    node_count: int, source: int, sink: int, arcs: Sequence[tuple[int, int, int]]
+) -> tuple[int, frozenset[int]]:
+    """Maximum flow value and minimum-cut source side, integer capacities."""
+    # Arc 2k runs u -> v with capacity w; arc 2k + 1 is its residual twin.
+    to = [x for u, v, _ in arcs for x in (v, u)]
+    cap = [x for _, _, w in arcs for x in (w, 0)]
+    heads: list[list[int]] = [[] for _ in range(node_count)]
+    for k, (u, v, _) in enumerate(arcs):
+        heads[u].append(2 * k)
+        heads[v].append(2 * k + 1)
 
-    for u, v, w in net.arcs:
-        add_arc(u, v, int(w * scale))
-
-    source, sink = net.source, net.sink
     total = 0
-    level = [0] * net.node_count
-    iters = [0] * net.node_count
+    level = [0] * node_count
+    iters = [0] * node_count
 
     while True:
-        for i in range(net.node_count):
+        for i in range(node_count):
             level[i] = -1
         level[source] = 0
         queue = deque([source])
@@ -108,7 +115,7 @@ def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
                     queue.append(v)
         if level[sink] < 0:
             break
-        for i in range(net.node_count):
+        for i in range(node_count):
             iters[i] = 0
         # Blocking flow: repeated DFS along level-increasing arcs with a
         # per-node cursor so each arc is abandoned at most once per phase.
@@ -144,7 +151,7 @@ def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
             if not pushed and u == source:
                 break
 
-    reachable = [False] * net.node_count
+    reachable = [False] * node_count
     reachable[source] = True
     queue = deque([source])
     while queue:
@@ -154,8 +161,8 @@ def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
             if cap[arc] > 0 and not reachable[v]:
                 reachable[v] = True
                 queue.append(v)
-    side = frozenset(i for i in range(net.node_count) if reachable[i])
-    return Fraction(total, scale), side
+    side = frozenset(i for i in range(node_count) if reachable[i])
+    return total, side
 
 
 def _arc_tail(to: Sequence[int], arc: int) -> int:
@@ -164,22 +171,19 @@ def _arc_tail(to: Sequence[int], arc: int) -> int:
     return to[arc ^ 1]
 
 
-def _network_parts(
-    q: Sequence[Sequence[Fraction]],
-    c: Sequence[Fraction],
-    d: Sequence[Fraction],
-) -> tuple[int, list[tuple[int, int, Fraction]], Fraction]:
+def _network_parts(q: Sequence[Sequence], c: Sequence, d: Sequence):
     """Nodes, arcs, and offset (without c0) for the provisioning network.
 
-    Accepts empty row or column sets so reduced instances can reuse it.
-    Node layout: 0 = source, 1 = sink, then the m row nodes, then the n
-    column nodes.
+    Capacities are in the units of the coefficients: ints for an integer
+    instance.  Accepts empty row or column sets so reduced instances can
+    reuse it.  Node layout: 0 = source, 1 = sink, then the m row nodes,
+    then the n column nodes.
     """
     m, n = len(c), len(d)
-    offset = Fraction(0)
-    arcs: list[tuple[int, int, Fraction]] = []
+    offset = 0
+    arcs = []
     for i in range(m):
-        row_sum = sum(q[i], Fraction(0))
+        row_sum = sum(q[i])
         if any(v < 0 for v in q[i]):
             raise ValueError("cost matrix has a negative entry")
         offset += row_sum
@@ -217,25 +221,22 @@ def build_cut_network(inst: Instance) -> tuple[FlowNetwork, Fraction]:
 
 
 def _solve_nonnegative_parts(
-    q: Sequence[Sequence[Fraction]],
-    c: Sequence[Fraction],
-    d: Sequence[Fraction],
-) -> tuple[Fraction, list[int], list[int]]:
+    q: Sequence[Sequence[int]], c: Sequence[int], d: Sequence[int]
+) -> tuple[int, list[int], list[int]]:
     """Optimal (value-without-c0, x, y) for nonnegative q; dims may be 0."""
     m, n = len(c), len(d)
     node_count, arcs, offset = _network_parts(q, c, d)
-    net = FlowNetwork(node_count, 0, 1, tuple(arcs))
-    cut_value, side = max_flow(net)
+    cut_value, side = _dinic(node_count, 0, 1, arcs)
     x = [1 if (2 + i) in side else 0 for i in range(m)]
     y = [1 if (2 + m + j) in side else 0 for j in range(n)]
     return offset - cut_value, x, y
 
 
-def solve_nonnegative(inst: Instance) -> Solution:
+def solve_nonnegative(inst: Instance | IntegerInstance) -> Solution:
     """Optimal solution of an instance with entrywise nonnegative matrix."""
-    value, x, y = _solve_nonnegative_parts(inst.q, inst.c, inst.d)
-    solution = Solution(tuple(x), tuple(y), value + inst.c0)
-    return solution
+    work = inst.integer
+    value, x, y = _solve_nonnegative_parts(work.q, work.c, work.d)
+    return Solution(tuple(x), tuple(y), Fraction(value + work.c0, work.scale))
 
 
 @dataclass(frozen=True)
@@ -246,10 +247,11 @@ class ReducedInstance:
     fixing y_j = 1 adds column j to the free c and d_j to the constant;
     variables fixed to 0 simply disappear.  For any assignment of the free
     variables, objective(x_free, y_free) + constant equals the original
-    objective with the fixings applied.
+    objective with the fixings applied.  Coefficients are in the units of
+    ``base``: ints when it is an :class:`IntegerInstance`.
     """
 
-    base: Instance
+    base: Instance | IntegerInstance
     fixed_x: tuple[tuple[int, int], ...]
     fixed_y: tuple[tuple[int, int], ...]
     free_rows: tuple[int, ...]
@@ -260,19 +262,7 @@ class ReducedInstance:
     constant: Fraction
 
     def objective(self, x_free: Sequence[int], y_free: Sequence[int]) -> Fraction:
-        total = Fraction(0)
-        for a, row in enumerate(self.q):
-            if x_free[a]:
-                for bcol, v in enumerate(row):
-                    if y_free[bcol]:
-                        total += v
-        for a, v in enumerate(self.c):
-            if x_free[a]:
-                total += v
-        for bcol, v in enumerate(self.d):
-            if y_free[bcol]:
-                total += v
-        return total
+        return _bilinear_value(self.q, self.c, self.d, 0, x_free, y_free)
 
     def assemble(
         self, x_free: Sequence[int], y_free: Sequence[int]
@@ -292,7 +282,7 @@ class ReducedInstance:
 
 
 def reduce_with_fixing(
-    inst: Instance, fixed_x: Mapping[int, int], fixed_y: Mapping[int, int]
+    inst: Instance | IntegerInstance, fixed_x: Mapping[int, int], fixed_y: Mapping[int, int]
 ) -> ReducedInstance:
     """Fold fixed variables into a reduced instance over the free ones."""
     for i, v in fixed_x.items():
@@ -314,13 +304,11 @@ def reduce_with_fixing(
                 if vx:
                     constant += inst.q[i][j]
     c = tuple(
-        inst.c[i]
-        + sum((inst.q[i][j] for j, v in fixed_y.items() if v), Fraction(0))
+        inst.c[i] + sum(inst.q[i][j] for j, v in fixed_y.items() if v)
         for i in free_rows
     )
     d = tuple(
-        inst.d[j]
-        + sum((inst.q[i][j] for i, v in fixed_x.items() if v), Fraction(0))
+        inst.d[j] + sum(inst.q[i][j] for i, v in fixed_x.items() if v)
         for j in free_cols
     )
     q = tuple(tuple(inst.q[i][j] for j in free_cols) for i in free_rows)
@@ -338,7 +326,7 @@ def reduce_with_fixing(
 
 
 def solve_with_eliminator(
-    inst: Instance,
+    inst: Instance | IntegerInstance,
     elim: Eliminator,
     size_limit: int = DEFAULT_ELIMINATOR_LIMIT,
 ) -> Solution:
@@ -355,11 +343,12 @@ def solve_with_eliminator(
             limit=size_limit,
             measured=elim.size,
         )
-    best: tuple[Fraction, tuple[int, ...], tuple[int, ...]] | None = None
+    work = inst.integer
+    best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
     for bits in product((0, 1), repeat=elim.size):
         fixed_x = {i: bits[a] for a, i in enumerate(elim.rows)}
         fixed_y = {j: bits[len(elim.rows) + b] for b, j in enumerate(elim.cols)}
-        reduced = reduce_with_fixing(inst, fixed_x, fixed_y)
+        reduced = reduce_with_fixing(work, fixed_x, fixed_y)
         value, x_free, y_free = _solve_nonnegative_parts(
             reduced.q, reduced.c, reduced.d
         )
@@ -370,4 +359,4 @@ def solve_with_eliminator(
         ):
             best = (value, x, y)
     assert best is not None
-    return Solution(best[1], best[2], best[0])
+    return Solution(best[1], best[2], Fraction(best[0], work.scale))

@@ -8,12 +8,20 @@ maximized over binary vectors x (length m) and y (length n).  Every
 coefficient is an exact rational (``fractions.Fraction``); no operation in
 this package rounds.  Instances are immutable, so they are safe to share
 between threads and to use as dictionary keys.
+
+Solvers and detectors run on plain ints.  ``clear_denominators`` is the
+one scaling step: ``Instance.integer`` applies it once per instance, giving
+an :class:`IntegerInstance` whose objective is the original times a
+positive ``scale``.  That keeps every argmax and tie, so solvers compare
+ints and divide by ``scale`` only in ``Solution.value``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 Numeric = Union[int, str, float, Fraction]
@@ -28,6 +36,21 @@ def as_fraction(value: Numeric) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def clear_denominators(
+    vectors: Sequence[Sequence[Fraction | int]],
+) -> tuple[list[tuple[int, ...]], int]:
+    """Scale vectors of exact rationals to integers by one common factor k.
+
+    Returns ([tuple(k * v for v in vector) ...], k) with k the least
+    positive integer making every value integral (the lcm of the
+    denominators); k is 1 for integer input.
+    """
+    scale = lcm(*[lcm(*[v.denominator for v in vec]) for vec in vectors])
+    if scale == 1:
+        return [tuple(v.numerator for v in vec) for vec in vectors], 1
+    return [tuple(v.numerator * (scale // v.denominator) for v in vec) for vec in vectors], scale
 
 
 def freeze_vector(values: Sequence[Numeric]) -> tuple[Fraction, ...]:
@@ -58,46 +81,84 @@ def _coerce_fields(obj) -> None:
     object.__setattr__(obj, "c0", as_fraction(obj.c0))
 
 
+class _Shape:
+    """m x n shape of the coefficient matrix ``q``."""
+
+    @property
+    def m(self) -> int:
+        return len(self.q)
+
+    @property
+    def n(self) -> int:
+        return len(self.q[0])
+
+
 @dataclass(frozen=True)
-class Instance:
+class IntegerInstance(_Shape):
+    """(q, c, d, c0) of an instance times the positive integer ``scale``.
+
+    Every coefficient is a Python int, so the original objective value at
+    a point is ``Fraction(self.objective(x, y), self.scale)``.  Solvers
+    accept this form wherever they accept an :class:`Instance`.
+    """
+
+    q: tuple[tuple[int, ...], ...]
+    c: tuple[int, ...]
+    d: tuple[int, ...]
+    c0: int
+    scale: int
+
+    @property
+    def integer(self) -> "IntegerInstance":
+        return self
+
+    @cached_property
+    def factorization(self):
+        """Integer rank factorization of q, computed once on first use."""
+        from .analysis import RankFactorization, bareiss  # analysis imports model
+
+        rows, pivots, det = bareiss(self.q)
+        left = tuple(tuple(row[col] for col in pivots) for row in self.q)
+        return RankFactorization(len(pivots), left, tuple(map(tuple, rows[: len(pivots)])), det)
+
+    def objective(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """Scale times the original objective at the binary point (x, y)."""
+        return _bilinear_value(self.q, self.c, self.d, self.c0, x, y)
+
+
+def _integer_instance(obj) -> IntegerInstance:
+    ints, scale = clear_denominators((*obj.q, obj.c, obj.d, (obj.c0,)))
+    (c0,) = ints.pop()
+    d, c = ints.pop(), ints.pop()
+    return IntegerInstance(tuple(ints), c, d, c0, scale)
+
+
+@dataclass(frozen=True)
+class _Rational(_Shape):
+    """Exact coefficients; ``integer`` is built on first use."""
+
+    q: tuple[tuple[Fraction, ...], ...]
+    c: tuple[Fraction, ...] | None = None
+    d: tuple[Fraction, ...] | None = None
+    c0: Fraction = Fraction(0)
+
+    integer = cached_property(_integer_instance)
+
+
+@dataclass(frozen=True)
+class Instance(_Rational):
     """A BQP01 instance: maximize x^T Q y + c.x + d.y + c0 over binary x, y."""
 
-    q: tuple[tuple[Fraction, ...], ...]
-    c: tuple[Fraction, ...] | None = None
-    d: tuple[Fraction, ...] | None = None
-    c0: Fraction = Fraction(0)
-
     def __post_init__(self) -> None:
         _coerce_fields(self)
-
-    @property
-    def m(self) -> int:
-        return len(self.q)
-
-    @property
-    def n(self) -> int:
-        return len(self.q[0])
 
 
 @dataclass(frozen=True)
-class CutInstance:
+class CutInstance(_Rational):
     """Same coefficient shape as :class:`Instance`, variables in {-1, +1}."""
-
-    q: tuple[tuple[Fraction, ...], ...]
-    c: tuple[Fraction, ...] | None = None
-    d: tuple[Fraction, ...] | None = None
-    c0: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         _coerce_fields(self)
-
-    @property
-    def m(self) -> int:
-        return len(self.q)
-
-    @property
-    def n(self) -> int:
-        return len(self.q[0])
 
     def is_homogeneous(self) -> bool:
         return (
@@ -156,20 +217,13 @@ def _check_assignment(vec: Sequence[int], size: int, allowed: tuple[int, int], l
             raise ValueError(f"{label} entries must be in {allowed}, got {v!r}")
 
 
-def _bilinear_value(q, c, d, c0, x, y) -> Fraction:
-    total = c0
-    for i, row in enumerate(q):
-        if x[i]:
-            xi = x[i]
-            acc = Fraction(0)
-            for j, qij in enumerate(row):
-                if y[j]:
-                    acc += qij * y[j]
-            total += xi * acc
-    for i, ci in enumerate(c):
-        total += ci * x[i]
-    for j, dj in enumerate(d):
-        total += dj * y[j]
+def _bilinear_value(q, c, d, c0, x, y):
+    """x^T q y + c.x + d.y + c0, exact in the coefficients' own arithmetic."""
+    cols = [j for j, v in enumerate(y) if v]
+    total = c0 + sum(d[j] * y[j] for j in cols)
+    for row, ci, xi in zip(q, c, x):
+        if xi:
+            total += xi * (ci + sum(row[j] * y[j] for j in cols))
     return total
 
 
@@ -187,13 +241,15 @@ def evaluate_cut_objective(cut: CutInstance, x: Sequence[int], y: Sequence[int])
     return _bilinear_value(cut.q, cut.c, cut.d, cut.c0, x, y)
 
 
-def transpose_instance(inst: Instance) -> Instance:
-    """Swap the roles of x and y: transpose Q and exchange c with d."""
-    qt = tuple(tuple(inst.q[i][j] for i in range(inst.m)) for j in range(inst.n))
-    return Instance(qt, inst.d, inst.c, inst.c0)
+def transpose_instance(inst: Instance | IntegerInstance):
+    """Swap the roles of x and y: transpose Q and exchange c with d.
+
+    Works on either form and returns the same form.
+    """
+    return replace(inst, q=tuple(zip(*inst.q)), c=inst.d, d=inst.c)
 
 
-def normalize_orientation(inst: Instance) -> tuple[Instance, bool]:
+def normalize_orientation(inst: Instance | IntegerInstance):
     """Return an equivalent instance with m <= n, plus a transposed flag.
 
     When the flag is True the instance was transposed, and a solution

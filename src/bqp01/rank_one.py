@@ -9,24 +9,31 @@ locations, every breakpoint solution is integral, and the instance optimum
 is attained at a breakpoint of the concave track.  A single merged sweep
 over both breakpoint lists therefore solves the instance.
 
-Internally the pipeline clears denominators once (a uniform positive
-scaling of the objective, so the argmax is untouched) and runs on plain
-integers; ratio sorting uses float keys for speed with exact
-cross-multiplication repair of equal-float runs, so the result is exact
-regardless of float precision.  An O(n) special case handles affine
-rank-one objectives whose linear term vanishes on one side.
+Internally the pipeline scales the form to integers with the shared
+``clear_denominators`` step (a uniform positive scaling of the objective,
+so the argmax is untouched) and runs on plain integers; ratio sorting uses
+float keys for speed with exact cross-multiplication repair of equal-float
+runs, so the result is exact regardless of float precision.  An O(n)
+special case handles affine rank-one objectives whose linear term vanishes
+on one side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, reduce
-from math import gcd, inf, lcm
+from functools import cmp_to_key
+from math import inf
 from typing import Sequence
 
-from .analysis import rank_factorize
-from .model import Instance, Solution, as_fraction, freeze_vector
+from .model import (
+    IntegerInstance,
+    Instance,
+    Solution,
+    as_fraction,
+    clear_denominators,
+    freeze_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -51,18 +58,21 @@ class RankOneForm:
             raise ValueError("b and d must have equal length")
 
     @classmethod
-    def from_instance(cls, inst: Instance) -> "RankOneForm":
-        """Factor inst.q = a b^T; raises if rank(q) exceeds one."""
-        fact = rank_factorize(inst.q)
+    def from_instance(cls, inst: Instance | IntegerInstance) -> "RankOneForm":
+        """Factor inst.q = a b^T; raises if rank(q) exceeds one.
+
+        Reads the integer instance's cached factorization, so no matrix is
+        factored twice.  a is the pivot column of q, and b the pivot row
+        divided by the pivot.
+        """
+        work = inst.integer
+        fact = work.factorization
         if fact.p > 1:
             raise ValueError(f"matrix has rank {fact.p}, expected at most 1")
-        if fact.p == 0:
-            a = (Fraction(0),) * inst.m
-            b = (Fraction(0),) * inst.n
-        else:
-            a = tuple(row[0] for row in fact.left)
-            b = fact.right[0]
-        return cls(a, b, inst.c, inst.d, inst.c0)
+        a = [Fraction(row[0], work.scale) if row else 0 for row in fact.left]
+        b = [Fraction(v, fact.denominator) for v in fact.right[0]] if fact.p else [0] * work.n
+        linear = [Fraction(v, work.scale) for v in (*work.c, *work.d, work.c0)]
+        return cls(a, b, linear[: work.m], linear[work.m : -1], linear[-1])
 
     @property
     def lambda_min(self) -> Fraction:
@@ -128,40 +138,19 @@ class BreakpointTrack:
 # --- exact integer core -------------------------------------------------------
 
 
-def _denominator_lcm(values: Sequence[Fraction]) -> int:
-    return reduce(lcm, (v.denominator for v in values), 1)
-
-
-def _scale_ints(values: Sequence[Fraction], factor: int) -> list[int]:
-    if factor == 1:
-        return [v.numerator for v in values]
-    return [int(v * factor) for v in values]
-
-
-def _scaled_form(form: RankOneForm):
+def _integer_form(form: RankOneForm):
     """Integer copy (A, B, C, D, C0) with scales (u, v, s).
 
-    A = u*a, B = v*b, C = s*c, D = s*d, C0 = s*c0 with s = u*v, so the
-    scaled objective is exactly s times the original and the breakpoint
-    axis is scaled by u.
+    With k from ``clear_denominators`` over every coefficient, A = k*a,
+    B = k*b and the linear terms are scaled by s = k^2, so the scaled
+    objective is exactly s times the original and the breakpoint axis is
+    scaled by u = v = k.
     """
-    u = _denominator_lcm(form.a)
-    v0 = _denominator_lcm(form.b)
-    linear_lcm = lcm(
-        _denominator_lcm(form.c), _denominator_lcm(form.d), form.c0.denominator
-    )
-    v = v0 * (linear_lcm // gcd(linear_lcm, u * v0))
-    s = u * v
-    return (
-        _scale_ints(form.a, u),
-        _scale_ints(form.b, v),
-        _scale_ints(form.c, s),
-        _scale_ints(form.d, s),
-        int(form.c0 * s),
-        u,
-        v,
-        s,
-    )
+    (a, b, linear), k = clear_denominators([form.a, form.b, (*form.c, *form.d, form.c0)])
+    if k > 1:
+        linear = [k * x for x in linear]
+    m = len(a)
+    return a, b, linear[:m], linear[m:-1], linear[-1], k, k, k * k
 
 
 def _float_ratio(num: int, den: int) -> float:
@@ -320,7 +309,7 @@ def pkp_breakpoints(form: RankOneForm) -> BreakpointTrack:
     or lower (a_i < 0) bound.  At most m+1 breakpoints; every breakpoint
     solution is binary and the track value is concave.
     """
-    a, _, c, _, _, u, _, s = _scaled_form(form)
+    a, _, c, _, _, u, _, s = _integer_form(form)
     breakpoints, groups, initial, values = _knapsack_track_ints(a, c)
     return BreakpointTrack(
         tuple(Fraction(t, u) for t in breakpoints),
@@ -345,7 +334,7 @@ def ulp_breakpoints(form: RankOneForm) -> BreakpointTrack:
     d_j and B = sum of active b_j give the envelope value D + t B on each
     segment; the slopes B strictly increase, so the track value is convex.
     """
-    a, b, _, d, _, u, v, s = _scaled_form(form)
+    a, b, _, d, _, u, v, s = _integer_form(form)
     lam_lo = sum(x for x in a if x < 0)
     mu_pairs, groups, initial, intercepts, slopes = _linear_track_ints(b, d, lam_lo)
     values = tuple(
@@ -372,7 +361,7 @@ def solve_rank_one(form: RankOneForm) -> Solution:
     the candidate value at t is then the sum of both envelope values plus
     c0.  The best candidate over all concave breakpoints is optimal.
     """
-    a, b, c, d, c0, _, _, s = _scaled_form(form)
+    a, b, c, d, c0, _, _, s = _integer_form(form)
     x_bps, x_groups, x_initial, x_values = _knapsack_track_ints(a, c)
     lam_lo = x_bps[0]
     mu_pairs, y_groups, y_initial, intercepts, slopes = _linear_track_ints(

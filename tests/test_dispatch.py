@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import bqp01.dispatch
+import bqp01.enumeration
 from bqp01 import (
     CrossValidationError,
     CutInstance,
@@ -167,6 +169,33 @@ def test_bench_raises_on_disagreement(monkeypatch):
     monkeypatch.setattr(bqp01.dispatch, "dispatch_solve", fake)
     with pytest.raises(CrossValidationError, match="disagree"):
         bench([("bad", sample_general())], ["oracle", "enum"])
+
+
+def test_wall_time_covers_cut_form_conversion(monkeypatch):
+    real = bqp01.dispatch.cut_to_bqp01
+
+    def slow(cut):
+        time.sleep(0.2)
+        return real(cut)
+
+    monkeypatch.setattr(bqp01.dispatch, "cut_to_bqp01", slow)
+    report = dispatch_solve(CutInstance([[1, -2], [3, 0]], [1, 0], [0, 1], 0))
+    assert report.wall_time >= 0.2
+
+
+def test_wrong_solver_value_fails_the_post_condition(monkeypatch):
+    real = bqp01.enumeration.solve_enumeration
+
+    def wrong(inst, m_limit):
+        sol = real(inst, m_limit)
+        return Solution(sol.x, sol.y, sol.value + Fraction(1, 3))
+
+    monkeypatch.setattr(bqp01.enumeration, "solve_enumeration", wrong)
+    inst = generate_instance("general", 7, 7, 17)
+    with pytest.raises(CrossValidationError, match="objective at its point"):
+        dispatch_solve(inst)
+    with pytest.raises(CrossValidationError):
+        dispatch_solve(inst, "enum")
 
 
 # --- command-line behavior -----------------------------------------------------

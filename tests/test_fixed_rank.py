@@ -15,9 +15,8 @@ from bqp01 import (
     RankOneForm,
 )
 from bqp01.fixed_rank import (
-    ReducedCostSign,
     enumerate_all_basis_structures,
-    invert_matrix,
+    integer_inverse,
     reduced_cost_sign,
 )
 from bqp01.fixtures import sample_additive, sample_rank_one
@@ -53,12 +52,14 @@ def test_structures_on_rich_rank_one_instance():
     first = by_basis[(0,)]
     assert first.lower == () and first.upper == (1, 2, 3, 4)
     assert candidates_from_basis(first) == [(0, 1, 1, 1, 1), (1, 1, 1, 1, 1)]
-    # Reduced cost values for the first basis.
-    costs = [
-        reduced_cost_sign(fact.left, inst.c, (0,), first.basis_inverse, j).base
-        for j in (1, 2, 3, 4)
-    ]
+    # Reduced costs c_B B^-1 a_j - c_j for the first basis, and their signs.
+    left = [[int(v) for v in row] for row in fact.left]
+    c = [int(v) for v in inst.c]
+    det, adj = integer_inverse([[left[0][0]]])
+    costs = [Fraction(c[0] * adj[0][0] * left[j][0], det) - c[j] for j in (1, 2, 3, 4)]
     assert costs == [-1, -12, -2, -9]
+    signs = [reduced_cost_sign(left, c, (0,), det, adj, j) for j in (1, 2, 3, 4)]
+    assert signs == [-1, -1, -1, -1]
 
 
 def test_singular_bases_are_skipped():
@@ -112,18 +113,33 @@ def test_refusal_past_rank_limit():
 
 
 def test_reduced_cost_sign_tie_breaking():
-    assert ReducedCostSign(Fraction(3), ((1, Fraction(-1)),)).sign == 1
-    assert ReducedCostSign(Fraction(-3), ((1, Fraction(5)),)).sign == -1
-    assert ReducedCostSign(Fraction(0), ((1, Fraction(2)), (4, Fraction(-1)))).sign == 1
-    assert ReducedCostSign(Fraction(0), ((2, Fraction(-1)),)).sign == -1
+    def sign(left, c, basis, j):
+        det, adj = integer_inverse([[left[i][k] for i in basis] for k in range(len(basis))])
+        return reduced_cost_sign(left, c, basis, det, adj, j)
+
+    # A nonzero reduced cost decides alone.
+    assert sign(((1,), (2,)), (3, 1), (0,), 1) == 1
+    assert sign(((1,), (1,)), (1, 5), (0,), 1) == -1
+    # A zero one falls to the first nonzero perturbation coefficient by
+    # variable index: the multiplier at basic variable 0, or the -1 at j = 0.
+    assert sign(((1,), (1,)), (1, 1), (0,), 1) == 1
+    assert sign(((1,), (1,)), (1, 1), (1,), 0) == -1
+    # A negative basis matrix: det stays positive, the adjugate carries the sign.
+    assert integer_inverse([[-1]]) == (1, ((-1,),))
+    assert sign(((-1,), (1,)), (-1, 1), (0,), 1) == -1
 
 
-def test_invert_matrix_roundtrip_and_singular():
-    rows = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
-    inv = invert_matrix(rows)
-    assert inv == ((1, -1), (-1, 2))
-    assert invert_matrix(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))) is None
-    assert invert_matrix(()) == ()
+def test_integer_inverse_roundtrip_and_singular():
+    rows = ((2, 1), (1, 1))
+    assert integer_inverse(rows) == (1, ((1, -1), (-1, 2)))
+    det, adj = integer_inverse(((2, 3), (1, 4)))
+    assert det == 5 and adj == ((4, -3), (-1, 2))
+    rows = ((0, 2, 1), (3, -1, 4), (2, 2, 5))
+    det, adj = integer_inverse(rows)
+    product = [[sum(adj[i][k] * rows[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    assert det != 0 and product == [[det * (i == j) for j in range(3)] for i in range(3)]
+    assert integer_inverse(((1, 2), (2, 4))) is None
+    assert integer_inverse(()) == (1, ())
 
 
 def test_matches_oracle_on_rich_instance():
