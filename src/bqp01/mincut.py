@@ -39,7 +39,7 @@ from .model import (
     Instance,
     Solution,
     _bilinear_value,
-    as_fraction,
+    _freeze,
     clear_denominators,
 )
 
@@ -53,7 +53,7 @@ class FlowNetwork:
     node_count: int
     source: int
     sink: int
-    arcs: tuple[tuple[int, int, Fraction], ...]
+    arcs: tuple[tuple[int, int, int | Fraction], ...]
 
     def __post_init__(self) -> None:
         if not (0 <= self.source < self.node_count):
@@ -62,7 +62,7 @@ class FlowNetwork:
             raise ValueError("sink out of range")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
-        arcs = tuple((u, v, as_fraction(w)) for (u, v, w) in self.arcs)
+        arcs = tuple((u, v, _freeze(w)) for (u, v, w) in self.arcs)
         for u, v, w in arcs:
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise ValueError(f"arc ({u}, {v}) out of range")

@@ -5,9 +5,12 @@ An instance is the coefficient tuple (Q, c, d, c0) of the objective
     f(x, y) = x^T Q y + c.x + d.y + c0
 
 maximized over binary vectors x (length m) and y (length n).  Every
-coefficient is an exact rational (``fractions.Fraction``); no operation in
-this package rounds.  Instances are immutable, so they are safe to share
-between threads and to use as dictionary keys.
+coefficient is an exact rational, held as an ``int`` when it was given as
+one and as a ``fractions.Fraction`` otherwise; no operation in this package
+rounds.  The constant c0 is always a Fraction, so objective values computed
+from an instance are Fractions.  Instances are immutable, so they are safe
+to share between threads and to use as dictionary keys; an int-built
+instance equals, and hashes like, the same instance built from Fractions.
 
 Solvers and detectors run on plain ints.  ``clear_denominators`` is the
 one scaling step: ``Instance.integer`` applies it once per instance, giving
@@ -38,6 +41,9 @@ def as_fraction(value: Numeric) -> Fraction:
     return Fraction(value)
 
 
+_INT_ONLY = frozenset((int,))
+
+
 def clear_denominators(
     vectors: Sequence[Sequence[Fraction | int]],
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -45,19 +51,29 @@ def clear_denominators(
 
     Returns ([tuple(k * v for v in vector) ...], k) with k the least
     positive integer making every value integral (the lcm of the
-    denominators); k is 1 for integer input.
+    denominators).  Vectors that hold only ints need no scan; when k is 1
+    they are returned as they are (as tuples), not copied.
     """
-    scale = lcm(*[lcm(*[v.denominator for v in vec]) for vec in vectors])
+    pairs = [(vec, _INT_ONLY.issuperset(map(type, vec))) for vec in map(tuple, vectors)]
+    scale = lcm(*[v.denominator for vec, ints in pairs if not ints for v in vec])
     if scale == 1:
-        return [tuple(v.numerator for v in vec) for vec in vectors], 1
-    return [tuple(v.numerator * (scale // v.denominator) for v in vec) for vec in vectors], scale
+        return [vec if ints else tuple(v.numerator for v in vec) for vec, ints in pairs], 1
+    return [tuple(v.numerator * (scale // v.denominator) for v in vec) for vec, _ in pairs], scale
 
 
-def freeze_vector(values: Sequence[Numeric]) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(v) for v in values)
+def _freeze(value: Numeric) -> int | Fraction:
+    return value if type(value) is int else as_fraction(value)
 
 
-def freeze_matrix(rows: Sequence[Sequence[Numeric]]) -> tuple[tuple[Fraction, ...], ...]:
+def freeze_vector(values: Sequence[Numeric]) -> tuple[int | Fraction, ...]:
+    """Values as a tuple: ints (not bools) kept, anything else a Fraction."""
+    out = tuple(values)
+    if _INT_ONLY.issuperset(map(type, out)):
+        return out
+    return tuple(map(_freeze, out))
+
+
+def freeze_matrix(rows: Sequence[Sequence[Numeric]]) -> tuple[tuple[int | Fraction, ...], ...]:
     out = tuple(freeze_vector(row) for row in rows)
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("matrix rows have inconsistent lengths")
@@ -69,8 +85,8 @@ def _coerce_fields(obj) -> None:
     if not q or not q[0]:
         raise ValueError("matrix must have at least one row and one column")
     m, n = len(q), len(q[0])
-    c = freeze_vector(obj.c) if obj.c is not None else (Fraction(0),) * m
-    d = freeze_vector(obj.d) if obj.d is not None else (Fraction(0),) * n
+    c = freeze_vector(obj.c) if obj.c is not None else (0,) * m
+    d = freeze_vector(obj.d) if obj.d is not None else (0,) * n
     if len(c) != m:
         raise ValueError(f"c has length {len(c)}, expected {m}")
     if len(d) != n:
@@ -135,11 +151,15 @@ def _integer_instance(obj) -> IntegerInstance:
 
 @dataclass(frozen=True)
 class _Rational(_Shape):
-    """Exact coefficients; ``integer`` is built on first use."""
+    """Exact coefficients, each an int or a Fraction, and c0 a Fraction.
 
-    q: tuple[tuple[Fraction, ...], ...]
-    c: tuple[Fraction, ...] | None = None
-    d: tuple[Fraction, ...] | None = None
+    ``integer`` is built on first use; for all-int coefficients it shares
+    the rows of ``q``.
+    """
+
+    q: tuple[tuple[int | Fraction, ...], ...]
+    c: tuple[int | Fraction, ...] | None = None
+    d: tuple[int | Fraction, ...] | None = None
     c0: Fraction = Fraction(0)
 
     integer = cached_property(_integer_instance)

@@ -38,12 +38,16 @@ from .model import (
 
 @dataclass(frozen=True)
 class RankOneForm:
-    """Factored instance: maximize (a.x)(b.y) + c.x + d.y + c0."""
+    """Factored instance: maximize (a.x)(b.y) + c.x + d.y + c0.
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
-    d: tuple[Fraction, ...]
+    Coefficients are frozen like :class:`Instance` ones: ints stay ints,
+    other numbers become Fractions, and c0 is always a Fraction.
+    """
+
+    a: tuple[int | Fraction, ...]
+    b: tuple[int | Fraction, ...]
+    c: tuple[int | Fraction, ...]
+    d: tuple[int | Fraction, ...]
     c0: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
@@ -146,11 +150,10 @@ def _integer_form(form: RankOneForm):
     objective is exactly s times the original and the breakpoint axis is
     scaled by u = v = k.
     """
-    (a, b, linear), k = clear_denominators([form.a, form.b, (*form.c, *form.d, form.c0)])
+    (a, b, c, d, (c0,)), k = clear_denominators([form.a, form.b, form.c, form.d, (form.c0,)])
     if k > 1:
-        linear = [k * x for x in linear]
-    m = len(a)
-    return a, b, linear[:m], linear[m:-1], linear[-1], k, k, k * k
+        c, d, c0 = [k * x for x in c], [k * x for x in d], k * c0
+    return a, b, c, d, c0, k, k, k * k
 
 
 def _float_ratio(num: int, den: int) -> float:

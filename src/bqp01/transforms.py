@@ -64,15 +64,15 @@ def bqp01_to_cut(inst: Instance) -> CutInstance:
     cut(2x - 1, 2y - 1) = f(x, y) holds for every binary (x, y).
     """
     m, n = inst.m, inst.n
-    row_sums = [sum(row, Fraction(0)) for row in inst.q]
-    col_sums = [sum((inst.q[i][j] for i in range(m)), Fraction(0)) for j in range(n)]
-    q = tuple(tuple(v / 4 for v in row) for row in inst.q)
-    c = tuple(row_sums[i] / 4 + inst.c[i] / 2 for i in range(m))
-    d = tuple(col_sums[j] / 4 + inst.d[j] / 2 for j in range(n))
+    row_sums = [sum(row) for row in inst.q]
+    col_sums = [sum(inst.q[i][j] for i in range(m)) for j in range(n)]
+    q = tuple(tuple(Fraction(v, 4) for v in row) for row in inst.q)
+    c = tuple(Fraction(row_sums[i], 4) + Fraction(inst.c[i], 2) for i in range(m))
+    d = tuple(Fraction(col_sums[j], 4) + Fraction(inst.d[j], 2) for j in range(n))
     c0 = (
-        sum(row_sums, Fraction(0)) / 4
-        + sum(inst.c, Fraction(0)) / 2
-        + sum(inst.d, Fraction(0)) / 2
+        Fraction(sum(row_sums), 4)
+        + Fraction(sum(inst.c), 2)
+        + Fraction(sum(inst.d), 2)
         + inst.c0
     )
     return CutInstance(q, c, d, c0)
@@ -87,17 +87,12 @@ def cut_to_bqp01(cut: CutInstance) -> Instance:
     :func:`bqp01_to_cut`.
     """
     m, n = cut.m, cut.n
-    row_sums = [sum(row, Fraction(0)) for row in cut.q]
-    col_sums = [sum((cut.q[i][j] for i in range(m)), Fraction(0)) for j in range(n)]
+    row_sums = [sum(row) for row in cut.q]
+    col_sums = [sum(cut.q[i][j] for i in range(m)) for j in range(n)]
     q = tuple(tuple(4 * v for v in row) for row in cut.q)
     c = tuple(2 * (cut.c[i] - row_sums[i]) for i in range(m))
     d = tuple(2 * (cut.d[j] - col_sums[j]) for j in range(n))
-    c0 = (
-        sum(row_sums, Fraction(0))
-        - sum(cut.c, Fraction(0))
-        - sum(cut.d, Fraction(0))
-        + cut.c0
-    )
+    c0 = sum(row_sums) - sum(cut.c) - sum(cut.d) + cut.c0
     return Instance(q, c, d, c0)
 
 
@@ -133,7 +128,7 @@ def qp01_to_bqp01(
         tuple(qp[i][j] + (2 * m_val if i == j else 0) for j in range(n))
         for i in range(n)
     )
-    lin = tuple(cp[i] / 2 - m_val for i in range(n))
+    lin = tuple(Fraction(cp[i], 2) - m_val for i in range(n))
     return Instance(q, lin, lin, c0), m_val
 
 

@@ -4,13 +4,32 @@ from fractions import Fraction
 import pytest
 
 from bqp01 import (
+    ALGORITHMS,
     BipartiteWeightedGraph,
     CutInstance,
+    FlowNetwork,
     Instance,
+    RankOneForm,
+    detect_additive,
+    dispatch_solve,
     evaluate_cut_objective,
     evaluate_objective,
+    format_instance,
+    max_flow,
+    min_negative_eliminator,
     normalize_orientation,
+    parse_instance,
+    pkp_breakpoints,
+    solve_additive,
+    solve_enumeration,
+    solve_fixed_rank,
+    solve_nonnegative,
+    solve_oracle,
+    solve_rank_one,
+    solve_rank_one_zero_linear,
+    solve_with_eliminator,
     transpose_instance,
+    ulp_breakpoints,
 )
 from bqp01.fixtures import sample_general, sample_rank_one
 
@@ -119,3 +138,93 @@ def test_instances_are_immutable_and_hashable():
     with pytest.raises(Exception):
         inst.c0 = Fraction(1)
     assert hash(inst) == hash(sample_general())
+
+
+# --- coefficient types: ints stay ints, everything else becomes a Fraction ---
+
+BIG = 2**60 + 1
+
+
+def _frozen_values(obj):
+    if isinstance(obj, RankOneForm):
+        return (*obj.a, *obj.b, *obj.c, *obj.d)
+    if isinstance(obj, FlowNetwork):
+        return tuple(w for _, _, w in obj.arcs)
+    return (*(v for row in obj.q for v in row), *obj.c, *obj.d)
+
+
+INT_BUILT = [
+    lambda: Instance([[1, -2], [BIG, 0]], [3, 4], [-5, 6], 7),
+    lambda: Instance([[1, 2, 3]]),
+    lambda: CutInstance([[1, -2], [BIG, 0]], [3, 4], [-5, 6], 7),
+    lambda: RankOneForm([1, -2], [BIG, 0, 3], [3, 4], [-5, 6, 0], 7),
+    lambda: FlowNetwork(3, 0, 2, ((0, 1, 5), (1, 2, BIG))),
+]
+
+
+@pytest.mark.parametrize("build", INT_BUILT)
+def test_all_int_coefficients_stay_ints(build):
+    assert all(type(v) is int for v in _frozen_values(build()))
+
+
+@pytest.mark.parametrize(
+    "raw, frozen",
+    [(True, Fraction(1)), (False, Fraction(0)), ("2", Fraction(2)), ("1/3", Fraction(1, 3)),
+     (0.25, Fraction(1, 4)), (Fraction(3), Fraction(3))],
+)
+def test_other_numbers_freeze_to_fractions(raw, frozen):
+    built = [
+        Instance([[raw]], [raw], [raw], raw),
+        CutInstance([[raw]], [raw], [raw], raw),
+        RankOneForm([raw], [raw], [raw], [raw], raw),
+        FlowNetwork(2, 0, 1, ((0, 1, raw),)),
+    ]
+    for obj in built:
+        values = _frozen_values(obj) + ((obj.c0,) if hasattr(obj, "c0") else ())
+        assert all(type(v) is Fraction and v == frozen for v in values)
+    # One int among them changes nothing for the others.
+    mixed = Instance([[raw, 1]])
+    assert type(mixed.q[0][0]) is Fraction and type(mixed.q[0][1]) is int
+
+
+def test_int_and_fraction_built_instances_are_equal():
+    q, c, d, c0 = [[1, -2], [BIG, 0]], [3, 4], [-5, 6], 7
+    for cls in (Instance, CutInstance):
+        ints = cls(q, c, d, c0)
+        fracs = cls(
+            [[Fraction(v) for v in row] for row in q], map(Fraction, c), map(Fraction, d), Fraction(c0)
+        )
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert ints.integer == fracs.integer
+        parsed = parse_instance(format_instance(ints))
+        assert parsed == ints and hash(parsed) == hash(ints)
+    vectors = ([1, 2], [3], [4, 5], [6])
+    form = RankOneForm(*vectors, 7)
+    twin = RankOneForm(*([Fraction(v) for v in vec] for vec in vectors), Fraction(7))
+    assert form == twin and hash(form) == hash(twin)
+
+
+def test_public_values_are_fractions_on_int_input():
+    # Nonnegative, additive and rank one at once, so every solver applies.
+    inst = Instance([[2, 2, 2], [2, 2, 2]], [-3, 1], [-1, -2, 0], 1)
+    form = RankOneForm.from_instance(inst)
+    values = [
+        evaluate_objective(inst, (1, 0), (0, 1, 1)),
+        evaluate_cut_objective(CutInstance(inst.q, inst.c, inst.d, 1), (1, -1), (-1, 1, 1)),
+        form.evaluate((1, 0), (0, 1, 1)),
+        RankOneForm([1], [2], [3], [4]).evaluate((1,), (1,)),
+        *pkp_breakpoints(form).values,
+        *ulp_breakpoints(form).values,
+        max_flow(FlowNetwork(2, 0, 1, ((0, 1, 5),)))[0],
+        solve_oracle(inst).value,
+        solve_enumeration(inst).value,
+        solve_fixed_rank(inst).value,
+        solve_additive(inst, detect_additive(inst.q)).value,
+        solve_nonnegative(inst).value,
+        solve_with_eliminator(inst, min_negative_eliminator(inst.q)).value,
+        solve_rank_one(form).value,
+        solve_rank_one_zero_linear(1, [2], 3, [4], [0], [5]).value,
+        *(dispatch_solve(inst, name).solution.value for name in ALGORITHMS),
+        dispatch_solve(CutInstance(inst.q, inst.c, inst.d)).solution.value,
+    ]
+    assert all(type(v) is Fraction for v in values)

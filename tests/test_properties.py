@@ -5,7 +5,8 @@ ints, rationals with large coprime denominators, and ints above 2^53 (where
 float ratio keys collide), in shapes 1 x n, m > n and m <= n, including the
 zero matrix and structured matrices that the specialized solvers accept.
 Each optimum is checked against ``solve_oracle`` and against the plain
-Fraction scan of ``conftest.exhaustive_best``.
+Fraction scan of ``conftest.exhaustive_best``.  Instances built from ints
+must have the integer form of the same instance built from Fractions.
 """
 
 from fractions import Fraction
@@ -53,16 +54,17 @@ HUGE = st.sampled_from([2**53, 2**53 + 1, 2**53 + 2, -(2**53) - 1, 3 * 2**60 + 1
     -(2**64), 2**64
 )
 VALUES = st.one_of(SMALL, COPRIME, HUGE)
+INTS = st.one_of(SMALL, HUGE)
 KINDS = ("dense", "zero", "rank1", "additive", "nonnegative", "sparse-negative")
 
 
 @st.composite
-def coefficients(draw):
+def coefficients(draw, values=VALUES):
     """(q, c, d, c0) of one of the KINDS, with 1 <= m, n <= 4."""
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     kind = draw(st.sampled_from(KINDS))
 
-    def vec(size, values=VALUES):
+    def vec(size):
         return draw(st.lists(values, min_size=size, max_size=size))
 
     if kind == "zero":
@@ -75,8 +77,8 @@ def coefficients(draw):
     else:
         q = [[abs(v) for v in vec(n)] for _ in range(m)]
         if kind == "sparse-negative":
-            q[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = -abs(draw(VALUES)) - 1
-    return q, vec(m), vec(n), draw(VALUES)
+            q[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = -abs(draw(values)) - 1
+    return q, vec(m), vec(n), draw(values)
 
 
 def applicable(inst: Instance) -> list[str]:
@@ -147,6 +149,19 @@ def test_integer_instance_round_trips_the_objective(coeffs, data):
         x = data.draw(st.lists(st.integers(0, 1), min_size=inst.m, max_size=inst.m))
         y = data.draw(st.lists(st.integers(0, 1), min_size=inst.n, max_size=inst.n))
         assert Fraction(work.objective(x, y), work.scale) == evaluate_objective(inst, x, y)
+
+
+@PROPERTY
+@given(coefficients(INTS))
+def test_int_built_instance_has_the_fraction_built_integer_form(coeffs):
+    q, c, d, c0 = coeffs
+    inst = Instance(q, c, d, c0)
+    rational = Instance(
+        [[Fraction(v) for v in row] for row in q], map(Fraction, c), map(Fraction, d), Fraction(c0)
+    )
+    assert inst.integer == rational.integer
+    assert inst.integer.scale == 1
+    assert all(mine is theirs for mine, theirs in zip(inst.integer.q, inst.q))
 
 
 @PROPERTY

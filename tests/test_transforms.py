@@ -75,6 +75,17 @@ def test_cut_rewrite_identity_everywhere():
                 evaluate_objective(inst, x, y)
 
 
+def test_rewrites_stay_exact_on_ints_above_2_53():
+    # Halving or quartering these ints as floats would round them.
+    big = 2**60 + 1
+    inst = Instance([[big, -big]], [big], [3, big], 5)
+    cut = bqp01_to_cut(inst)
+    assert cut.q[0] == (Fraction(big, 4), Fraction(-big, 4))
+    assert cut_to_bqp01(cut) == inst
+    embedded, m_val = qp01_to_bqp01([[big]], [big], 0, 1)
+    assert embedded.c == (Fraction(big, 2) - 1,)
+
+
 # --- homogenization ----------------------------------------------------------
 
 def test_homogeneous_layout():
