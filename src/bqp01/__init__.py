@@ -17,7 +17,6 @@ from .analysis import (
     maximum_bipartite_matching,
     min_negative_eliminator,
     rank_factorize,
-    rref,
 )
 from .dispatch import (
     ALGORITHMS,
@@ -63,7 +62,6 @@ from .rank_one import (
     RankOneForm,
     pkp_breakpoints,
     solve_rank_one,
-    solve_rank_one_zero_linear,
     ulp_breakpoints,
 )
 from .textio import format_instance, format_solution, parse_instance, parse_rational
@@ -137,14 +135,12 @@ __all__ = [
     "rank1_binary_approx_to_bqp01",
     "rank_factorize",
     "reduce_with_fixing",
-    "rref",
     "solve_additive",
     "solve_enumeration",
     "solve_fixed_rank",
     "solve_nonnegative",
     "solve_oracle",
     "solve_rank_one",
-    "solve_rank_one_zero_linear",
     "solve_with_eliminator",
     "to_homogeneous",
     "transpose_instance",

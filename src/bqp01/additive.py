@@ -17,37 +17,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .analysis import AdditiveDecomposition, additive_mismatch
+from .analysis import additive_mismatch
 from .model import IntegerInstance, Instance, Solution
 
 
-def solve_additive(inst: Instance | IntegerInstance, dec: AdditiveDecomposition) -> Solution:
-    """Optimal solution given a verified additive decomposition of inst.q.
+def solve_additive(inst: Instance | IntegerInstance) -> Solution:
+    """Optimal solution of an instance whose matrix is additive.
 
-    Raises ValueError if the decomposition does not reproduce the matrix
-    exactly.  Ties between (K, L) pairs prefer the smallest K, then the
-    smallest L; ties inside a sort prefer smaller indices.  The result is
-    invariant under the shift (a + t, b - t) of the decomposition, so the
-    scan may use the integer decomposition of ``inst.integer`` instead of
-    ``dec``.
+    Raises ValueError naming the first entry that breaks
+    q_ij = a_i + b_j; otherwise runs :func:`cardinality_scan`.
     """
-    m, n = inst.m, inst.n
-    a, b = dec.row_offsets, dec.col_offsets
-    if len(a) != m or len(b) != n:
-        raise ValueError("decomposition dimensions do not match the instance")
-    # dec reproduces q exactly when it matches row 0 and column 0 and q
-    # itself is additive, which the integer matrix checks in plain ints.
-    q = inst.q
-    edge = [(i, 0) for i in range(m)] + [(0, j) for j in range(n)]
-    bad = next(((i, j) for i, j in edge if q[i][j] != a[i] + b[j]), None)
     work = inst.integer
-    bad = bad or additive_mismatch(work.q)
+    bad = additive_mismatch(work.q)
     if bad is not None:
-        i, j = bad
-        raise ValueError(
-            f"decomposition mismatch at ({i}, {j}): "
-            f"{q[i][j]} != {a[i]} + {b[j]}"
-        )
+        raise ValueError(f"matrix is not additively decomposable: mismatch at {bad}")
+    return cardinality_scan(work)
+
+
+def cardinality_scan(work: IntegerInstance) -> Solution:
+    """The scan itself, on an integer instance already known to be additive.
+
+    Ties between (K, L) pairs prefer the smallest K, then the smallest L;
+    ties inside a sort prefer smaller indices.
+    """
+    m, n = work.m, work.n
     ia = [row[0] for row in work.q]
     ib = [v - work.q[0][0] for v in work.q[0]]
     ic, id_ = work.c, work.d

@@ -95,29 +95,18 @@ def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
     return rows, pivots, prev
 
 
-def rref(matrix: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices, exactly.
-
-    Pivots take the first nonzero entry in column order; with exact
-    arithmetic no magnitude-based pivoting is needed.  The matrix is
-    scaled to integers and eliminated by :func:`bareiss`.
-    """
-    rows, pivots, det = bareiss(clear_denominators(freeze_matrix(matrix))[0])
-    return [[Fraction(v, det) for v in row] for row in rows], pivots
-
-
 def rank_factorize(matrix: Sequence[Sequence]) -> RankFactorization:
     """Factor q = left @ right with p = rank(q), both factors exact.
 
     left collects the pivot columns of q; right collects the nonzero rows
-    of RREF(q).  A zero matrix yields p = 0 with empty factors.
+    of RREF(q), which :func:`bareiss` gives times its determinant on the
+    integer-scaled matrix.  A zero matrix yields p = 0 with empty factors.
     """
     q = freeze_matrix(matrix)
-    echelon, pivots = rref(q)
-    p = len(pivots)
+    rows, pivots, det = bareiss(clear_denominators(q)[0])
     left = tuple(tuple(row[col] for col in pivots) for row in q)
-    right = tuple(tuple(echelon[k]) for k in range(p))
-    return RankFactorization(p, left, right)
+    right = tuple(tuple(Fraction(v, det) for v in row) for row in rows[: len(pivots)])
+    return RankFactorization(len(pivots), left, right)
 
 
 def additive_mismatch(q: Sequence[Sequence]) -> tuple[int, int] | None:
@@ -168,15 +157,28 @@ def maximum_bipartite_matching(
     match_left = [-1] * left_count
     match_right = [-1] * right_count
 
-    def try_augment(i: int, seen: list[bool]) -> bool:
-        for j in adjacency[i]:
-            if seen[j]:
+    def try_augment(root: int, seen: list[bool]) -> bool:
+        # Depth-first search with an explicit stack, so path length is not
+        # bounded by the recursion limit: stack[k] holds a left vertex and
+        # its unvisited neighbours, path[k] the right vertex leading from
+        # stack[k] to stack[k + 1] (or to a free vertex).
+        stack = [(root, iter(adjacency[root]))]
+        path: list[int] = []
+        while stack:
+            j = next((j for j in stack[-1][1] if not seen[j]), None)
+            if j is None:
+                stack.pop()
+                if stack:
+                    path.pop()
                 continue
             seen[j] = True
-            if match_right[j] == -1 or try_augment(match_right[j], seen):
-                match_left[i] = j
-                match_right[j] = i
+            path.append(j)
+            if match_right[j] == -1:
+                for (i, _), j in zip(stack, path):
+                    match_left[i] = j
+                    match_right[j] = i
                 return True
+            stack.append((match_right[j], iter(adjacency[match_right[j]])))
         return False
 
     size = 0

@@ -15,8 +15,11 @@ import sys
 
 from . import __version__
 from .dispatch import ALGORITHMS, analyze, bench, dispatch_solve
+from .enumeration import DEFAULT_ENUM_LIMIT
 from .errors import CrossValidationError, ParseError, SolverRefusal
+from .fixed_rank import DEFAULT_P_LIMIT
 from .generate import generate_instance
+from .mincut import DEFAULT_ELIMINATOR_LIMIT
 from .model import CutInstance, Instance
 from .rank_one import RankOneForm, pkp_breakpoints, ulp_breakpoints
 from .textio import format_instance, format_solution, parse_instance
@@ -48,7 +51,6 @@ def _cmd_solve(args) -> int:
         p_limit=args.p_limit,
         enum_limit=args.enum_limit,
         eliminator_limit=args.eliminator_limit,
-        dual_filter=not args.no_dual_filter,
     )
     pairs = [
         ("algorithm", report.algorithm),
@@ -147,18 +149,16 @@ def _cmd_bench(args) -> int:
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--p-limit", type=int, default=6, help="largest matrix rank rankp accepts"
-    )
-    parser.add_argument(
-        "--enum-limit", type=int, default=25, help="largest row count enum accepts"
-    )
-    parser.add_argument(
-        "--eliminator-limit",
-        type=int,
-        default=25,
-        help="largest negative-eliminator size the eliminator solver accepts",
-    )
+    for flag, default, text in (
+        ("--p-limit", DEFAULT_P_LIMIT, "largest matrix rank rankp accepts"),
+        ("--enum-limit", DEFAULT_ENUM_LIMIT, "largest row count enum accepts"),
+        (
+            "--eliminator-limit",
+            DEFAULT_ELIMINATOR_LIMIT,
+            "largest negative-eliminator size the eliminator solver accepts",
+        ),
+    ):
+        parser.add_argument(flag, type=int, default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,11 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=ALGORITHMS, default="auto", help="solver to use"
     )
     _add_limit_flags(p_solve)
-    p_solve.add_argument(
-        "--no-dual-filter",
-        action="store_true",
-        help="rankp only: enumerate every basis structure (testing; exponential)",
-    )
     p_solve.add_argument(
         "--dump-breakpoints",
         action="store_true",

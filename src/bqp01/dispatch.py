@@ -73,7 +73,6 @@ class SolveReport:
     algorithm: str
     detected: str
     wall_time: float
-    analysis: AnalysisReport | None = None
 
 
 def analyze(inst: Instance | CutInstance) -> AnalysisReport:
@@ -96,7 +95,6 @@ def dispatch_solve(
     p_limit: int = fixed_rank.DEFAULT_P_LIMIT,
     enum_limit: int = enumeration.DEFAULT_ENUM_LIMIT,
     eliminator_limit: int = mincut.DEFAULT_ELIMINATOR_LIMIT,
-    dual_filter: bool = True,
 ) -> SolveReport:
     """Solve with the named algorithm, or pick one automatically.
 
@@ -124,7 +122,7 @@ def dispatch_solve(
     else:
         chosen = algorithm
         detected, solution = _run_named(
-            work, algorithm, p_limit, enum_limit, eliminator_limit, dual_filter
+            work, algorithm, p_limit, enum_limit, eliminator_limit
         )
 
     x, y = solution.x, solution.y
@@ -151,9 +149,8 @@ def _auto_solve(
 ) -> tuple[str, str, Solution]:
     if detect_nonnegative(work.q):
         return "mincut", "nonnegative matrix", mincut.solve_nonnegative(work)
-    dec = detect_additive(work.q)
-    if dec is not None:
-        return "additive", "additive matrix", additive_mod.solve_additive(work, dec)
+    if detect_additive(work.q) is not None:
+        return "additive", "additive matrix", additive_mod.cardinality_scan(work)
     rank = work.factorization.p
     if rank <= 1:
         form = rank_one.RankOneForm.from_instance(work)
@@ -178,9 +175,10 @@ def _auto_solve(
             mincut.solve_with_eliminator(work, elim, eliminator_limit),
         )
     raise SolverRefusal(
-        f"no solver applicable within limits: rank {rank} > {p_limit}, "
-        f"m {work.m} > {enum_limit}, eliminator {elim.size} > "
-        f"{eliminator_limit}, matrix not nonnegative or additive",
+        f"no solver applicable within limits: rank {rank} > p_limit {p_limit}, "
+        f"m {work.m} > enum_limit {enum_limit}, eliminator {elim.size} > "
+        f"eliminator_limit {eliminator_limit}, matrix not nonnegative or additive; "
+        f"raise one of them (--p-limit, --enum-limit, --eliminator-limit)",
         report=AnalysisReport(work.m, work.n, rank, None, False, elim),
     )
 
@@ -191,7 +189,6 @@ def _run_named(
     p_limit: int,
     enum_limit: int,
     eliminator_limit: int,
-    dual_filter: bool,
 ) -> tuple[str, Solution]:
     if algorithm == "oracle":
         return "exhaustive scan", enumeration.solve_oracle(work)
@@ -203,13 +200,10 @@ def _run_named(
     if algorithm == "rankp":
         return (
             f"rank-{work.factorization.p} matrix",
-            fixed_rank.solve_fixed_rank(work, p_limit, dual_filter=dual_filter),
+            fixed_rank.solve_fixed_rank(work, p_limit),
         )
     if algorithm == "additive":
-        dec = detect_additive(work.q)
-        if dec is None:
-            raise ValueError("matrix is not additively decomposable")
-        return "additive matrix", additive_mod.solve_additive(work, dec)
+        return "additive matrix", additive_mod.solve_additive(work)
     if algorithm == "mincut":
         return "nonnegative matrix", mincut.solve_nonnegative(work)
     if algorithm == "eliminator":

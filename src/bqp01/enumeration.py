@@ -45,7 +45,7 @@ def _column_gains(work: IntegerInstance, x: Sequence[int]) -> tuple[list[int], i
 
 
 def solve_enumeration(
-    inst: Instance | IntegerInstance, m_limit: int = DEFAULT_ENUM_LIMIT
+    inst: Instance | IntegerInstance, enum_limit: int = DEFAULT_ENUM_LIMIT
 ) -> Solution:
     """Optimal solution by enumerating all 2^m x-vectors.
 
@@ -56,11 +56,11 @@ def solve_enumeration(
     """
     work = inst.integer
     m = work.m
-    if m > m_limit:
+    if m > enum_limit:
         raise SolverRefusal(
-            f"enumeration over 2^{m} x-vectors exceeds the limit of 2^{m_limit}; "
-            f"raise m_limit to force",
-            limit=m_limit,
+            f"enumeration over 2^{m} x-vectors exceeds enum_limit 2^{enum_limit}; "
+            f"raise enum_limit (--enum-limit) to force",
+            limit=enum_limit,
             measured=m,
         )
     q, c = work.q, work.c

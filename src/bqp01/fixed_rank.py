@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .analysis import bareiss
 from .errors import SolverRefusal
@@ -98,17 +98,6 @@ def reduced_cost_sign(
     return 1 if base > 0 else -1
 
 
-def _nonsingular_bases(
-    left: Sequence[Sequence[int]], m: int
-) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
-    """(basis, det, adjugate) for each nonsingular p-subset of rows."""
-    p = len(left[0]) if left and left[0] else 0
-    for basis in combinations(range(m), p):
-        inverse = integer_inverse([[left[i][k] for i in basis] for k in range(p)])
-        if inverse is not None:
-            yield (basis, *inverse)
-
-
 def enumerate_dual_feasible_bases(
     left: Sequence[Sequence], c: Sequence
 ) -> list[BasisStructure]:
@@ -127,8 +116,13 @@ def enumerate_dual_feasible_bases(
     m = len(c)
     if len(left) != m:
         raise ValueError("factor row count must match objective length")
+    p = len(left[0]) if left and left[0] else 0
     structures = []
-    for basis, det, adjugate in _nonsingular_bases(left, m):
+    for basis in combinations(range(m), p):
+        inverse = integer_inverse([[left[i][k] for i in basis] for k in range(p)])
+        if inverse is None:
+            continue
+        det, adjugate = inverse
         lower, upper = [], []
         basis_set = set(basis)
         for j in range(m):
@@ -139,23 +133,6 @@ def enumerate_dual_feasible_bases(
     if not structures:
         raise ValueError("factor does not have full column rank")
     return structures
-
-
-def enumerate_all_basis_structures(
-    left: Sequence[Sequence], m: int
-) -> Iterator[BasisStructure]:
-    """Every nonsingular basis with every lower/upper split of the rest.
-
-    A deliberately exponential superset of the dual feasible structures,
-    used to check that dual-feasibility filtering never discards the
-    optimum.  Not for production sizes.
-    """
-    for basis, _, _ in _nonsingular_bases(clear_denominators(freeze_matrix(left))[0], m):
-        rest = [j for j in range(m) if j not in set(basis)]
-        for bits in product((0, 1), repeat=len(rest)):
-            lower = tuple(j for j, bit in zip(rest, bits) if bit == 0)
-            upper = tuple(j for j, bit in zip(rest, bits) if bit == 1)
-            yield BasisStructure(basis, lower, upper)
 
 
 def candidates_from_basis(structure: BasisStructure) -> list[tuple[int, ...]]:
@@ -203,16 +180,12 @@ def complete_y(
 
 
 def solve_fixed_rank(
-    inst: Instance | IntegerInstance,
-    p_limit: int = DEFAULT_P_LIMIT,
-    *,
-    dual_filter: bool = True,
+    inst: Instance | IntegerInstance, p_limit: int = DEFAULT_P_LIMIT
 ) -> Solution:
     """Optimal solution via basis-structure candidate enumeration.
 
     Uses the instance's integer rank factorization q = L R / D, enumerates
-    candidate x-vectors from all dual feasible basis structures (or from
-    the exponential superset when ``dual_filter`` is False), completes
+    candidate x-vectors from all dual feasible basis structures, completes
     each with its closed-form y, and returns the best.  Each candidate is
     scored in O((m + n) p) integer operations from t = L^T x: D times the
     objective is D (c.x + c0) plus the positive coefficients
@@ -222,23 +195,17 @@ def solve_fixed_rank(
     fact = work.factorization
     if fact.p > p_limit:
         raise SolverRefusal(
-            f"matrix rank {fact.p} exceeds the configured limit {p_limit}",
+            f"matrix rank {fact.p} exceeds p_limit {p_limit}; "
+            f"raise p_limit (--p-limit) to allow it",
             limit=p_limit,
             measured=fact.p,
         )
-    if dual_filter:
-        structures: Iterable[BasisStructure] = enumerate_dual_feasible_bases(
-            fact.left, work.c
-        )
-    else:
-        structures = enumerate_all_basis_structures(fact.left, work.m)
-
     den = fact.denominator
     d = [den * v for v in work.d]
     best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
     bound = comb(work.m, fact.p) * (2 ** fact.p)
     count = 0
-    for structure in structures:
+    for structure in enumerate_dual_feasible_bases(fact.left, work.c):
         for x in candidates_from_basis(structure):
             count += 1
             y, gain = _completion(fact.right, d, fact.left, x)
@@ -247,7 +214,7 @@ def solve_fixed_rank(
                 value == best[0] and (x, y) < (best[1], best[2])
             ):
                 best = (value, x, y)
-    if dual_filter and count > bound:
+    if count > bound:
         raise AssertionError(f"candidate count {count} exceeds C(m,p)*2^p = {bound}")
     assert best is not None
     return Solution(best[1], best[2], Fraction(best[0], den * work.scale))

@@ -328,7 +328,7 @@ def reduce_with_fixing(
 def solve_with_eliminator(
     inst: Instance | IntegerInstance,
     elim: Eliminator,
-    size_limit: int = DEFAULT_ELIMINATOR_LIMIT,
+    eliminator_limit: int = DEFAULT_ELIMINATOR_LIMIT,
 ) -> Solution:
     """Optimal solution by enumerating fixings of the eliminator variables.
 
@@ -337,10 +337,11 @@ def solve_with_eliminator(
     2^|eliminator| reduced optima is optimal overall.  Ties prefer the
     lexicographically smallest (x, y).
     """
-    if elim.size > size_limit:
+    if elim.size > eliminator_limit:
         raise SolverRefusal(
-            f"eliminator size {elim.size} exceeds the configured limit {size_limit}",
-            limit=size_limit,
+            f"eliminator size {elim.size} exceeds eliminator_limit {eliminator_limit}; "
+            f"raise eliminator_limit (--eliminator-limit) to allow it",
+            limit=eliminator_limit,
             measured=elim.size,
         )
     work = inst.integer

@@ -13,9 +13,7 @@ Internally the pipeline scales the form to integers with the shared
 ``clear_denominators`` step (a uniform positive scaling of the objective,
 so the argmax is untouched) and runs on plain integers; ratio sorting uses
 float keys for speed with exact cross-multiplication repair of equal-float
-runs, so the result is exact regardless of float precision.  An O(n)
-special case handles affine rank-one objectives whose linear term vanishes
-on one side.
+runs, so the result is exact regardless of float precision.
 """
 
 from __future__ import annotations
@@ -395,55 +393,3 @@ def solve_rank_one(form: RankOneForm) -> Solution:
         for index, bit in group:
             y[index] = bit
     return Solution(tuple(x), tuple(y), Fraction(best_value, s))
-
-
-def solve_rank_one_zero_linear(
-    a0, a: Sequence, b0, b: Sequence, c: Sequence, d: Sequence
-) -> Solution:
-    """O(n) solver for maximize (a0 + a.x)(b0 + b.y) + c.x + d.y.
-
-    Requires c = 0 or d = 0.  With d = 0 the objective for fixed y is
-    linear in x, and as t = b0 + b.y ranges over its interval the best
-    achievable value is convex in t, so the optimum occurs at y maximizing
-    or minimizing b0 + b.y; both candidates are completed with the best x
-    and compared.  The c = 0 case is symmetric.
-    """
-    a = freeze_vector(a)
-    b = freeze_vector(b)
-    c = freeze_vector(c)
-    d = freeze_vector(d)
-    a0 = as_fraction(a0)
-    b0 = as_fraction(b0)
-    if len(a) != len(c) or len(b) != len(d):
-        raise ValueError("vector lengths are inconsistent")
-
-    def value_of(x, y) -> Fraction:
-        ax = a0 + sum((v for v, s in zip(a, x) if s), Fraction(0))
-        by = b0 + sum((v for v, s in zip(b, y) if s), Fraction(0))
-        cx = sum((v for v, s in zip(c, x) if s), Fraction(0))
-        dy = sum((v for v, s in zip(d, y) if s), Fraction(0))
-        return ax * by + cx + dy
-
-    if all(v == 0 for v in d):
-        candidates = []
-        for y in (
-            tuple(1 if v > 0 else 0 for v in b),  # maximizes b0 + b.y
-            tuple(1 if v < 0 else 0 for v in b),  # minimizes b0 + b.y
-        ):
-            t = b0 + sum((v for v, s in zip(b, y) if s), Fraction(0))
-            x = tuple(1 if a[i] * t + c[i] > 0 else 0 for i in range(len(a)))
-            candidates.append(Solution(x, y, value_of(x, y)))
-    elif all(v == 0 for v in c):
-        candidates = []
-        for x in (
-            tuple(1 if v > 0 else 0 for v in a),
-            tuple(1 if v < 0 else 0 for v in a),
-        ):
-            t = a0 + sum((v for v, s in zip(a, x) if s), Fraction(0))
-            y = tuple(1 if b[j] * t + d[j] > 0 else 0 for j in range(len(b)))
-            candidates.append(Solution(x, y, value_of(x, y)))
-    else:
-        raise ValueError(
-            "requires c = 0 or d = 0; use solve_rank_one for the general case"
-        )
-    return max(candidates, key=lambda s: s.value)

@@ -8,7 +8,6 @@ from bqp01 import (
     maximum_bipartite_matching,
     min_negative_eliminator,
     rank_factorize,
-    rref,
 )
 from bqp01.fixtures import sample_additive, sample_nonnegative, sample_rank_one
 
@@ -105,11 +104,12 @@ def test_rank_agrees_with_minor_oracle():
 
 
 def test_rref_pivots_are_unit_columns():
-    echelon, pivots = rref([[2, 4, 1], [1, 2, 3]])
-    assert pivots == [0, 2]
-    for r, col in enumerate(pivots):
-        assert echelon[r][col] == 1
-        assert all(echelon[i][col] == 0 for i in range(len(echelon)) if i != r)
+    fact = rank_factorize([[2, 4, 1], [1, 2, 3]])
+    assert fact.left == ((2, 1), (1, 3))  # columns 0 and 2 are the pivots
+    right = fact.right
+    for r, col in enumerate([0, 2]):
+        assert right[r][col] == 1
+        assert all(right[i][col] == 0 for i in range(len(right)) if i != r)
 
 
 def test_additive_detection_recovers_convention():
@@ -226,3 +226,45 @@ def test_matching_on_complete_graph():
     assert size == 2
     assert sorted(j for j in ml if j != -1) == [0, 1]
     assert all(mr[j] != -1 for j in range(2))
+
+
+def recursive_matching(left_count, right_count, adjacency):
+    """Depth-first augmenting paths by recursion, the reference visit order."""
+    match_left, match_right = [-1] * left_count, [-1] * right_count
+
+    def augment(i, seen):
+        for j in adjacency[i]:
+            if not seen[j]:
+                seen[j] = True
+                if match_right[j] == -1 or augment(match_right[j], seen):
+                    match_left[i], match_right[j] = j, i
+                    return True
+        return False
+
+    size = sum(augment(i, [False] * right_count) for i in range(left_count))
+    return size, match_left, match_right
+
+
+def test_matching_follows_depth_first_visit_order():
+    rng = random.Random(3004)
+    for _ in range(200):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        adjacency = [rng.sample(range(n), rng.randint(0, n)) for _ in range(m)]
+        expected = recursive_matching(m, n, adjacency)
+        assert maximum_bipartite_matching(m, n, adjacency) == expected
+
+
+def test_matching_survives_paths_deeper_than_the_recursion_limit():
+    import networkx as nx
+
+    rng = random.Random(3003)
+    adjacency = [rng.sample(range(3000), 3) for _ in range(3000)]
+    size, match_left, match_right = maximum_bipartite_matching(3000, 3000, adjacency)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(6000))
+    graph.add_edges_from((i, 3000 + j) for i, row in enumerate(adjacency) for j in row)
+    reference = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=range(3000))
+    assert size == len(reference) // 2
+    assert size == sum(j != -1 for j in match_left)
+    for i, j in enumerate(match_left):
+        assert j == -1 or (match_right[j] == i and j in adjacency[i])

@@ -132,6 +132,9 @@ def test_refusal_carries_analysis_report():
     assert report is not None
     assert report.rank > 2
     assert ("rank", str(report.rank)) in report.lines()
+    for setting in ("p_limit", "enum_limit", "eliminator_limit"):
+        assert setting in str(err.value)
+        assert "--" + setting.replace("_", "-") in str(err.value)
 
 
 def test_analyze_reports_all_detectors():
@@ -186,8 +189,8 @@ def test_wall_time_covers_cut_form_conversion(monkeypatch):
 def test_wrong_solver_value_fails_the_post_condition(monkeypatch):
     real = bqp01.enumeration.solve_enumeration
 
-    def wrong(inst, m_limit):
-        sol = real(inst, m_limit)
+    def wrong(inst, enum_limit):
+        sol = real(inst, enum_limit)
         return Solution(sol.x, sol.y, sol.value + Fraction(1, 3))
 
     monkeypatch.setattr(bqp01.enumeration, "solve_enumeration", wrong)

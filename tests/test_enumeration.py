@@ -95,8 +95,9 @@ def test_enumeration_returns_lex_smallest_optimal_x():
 def test_enumeration_refuses_past_limit():
     inst = random_instance(random.Random(45), 5, 2)
     with pytest.raises(SolverRefusal) as err:
-        solve_enumeration(inst, m_limit=4)
+        solve_enumeration(inst, enum_limit=4)
     assert "4" in str(err.value)
+    assert "enum_limit" in str(err.value) and "--enum-limit" in str(err.value)
     assert err.value.limit == 4 and err.value.measured == 5
 
 

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
 from bqp01 import (
+    BasisStructure,
     Instance,
     SolverRefusal,
+    best_y_for_x,
     candidates_from_basis,
     enumerate_dual_feasible_bases,
     rank_factorize,
@@ -15,7 +18,6 @@ from bqp01 import (
     RankOneForm,
 )
 from bqp01.fixed_rank import (
-    enumerate_all_basis_structures,
     integer_inverse,
     reduced_cost_sign,
 )
@@ -110,6 +112,7 @@ def test_refusal_past_rank_limit():
     with pytest.raises(SolverRefusal) as err:
         solve_fixed_rank(inst, p_limit=1)
     assert err.value.measured == 2 and err.value.limit == 1
+    assert "p_limit" in str(err.value) and "--p-limit" in str(err.value)
 
 
 def test_reduced_cost_sign_tie_breaking():
@@ -167,19 +170,38 @@ def test_agrees_with_breakpoint_solver_on_rank_one():
         assert a == b
 
 
+def all_basis_structures(left, m):
+    """Every nonsingular basis with every lower/upper split of the rest.
+
+    A deliberately exponential superset of the dual feasible structures.
+    """
+    p = len(left[0])
+    for basis in combinations(range(m), p):
+        if rank_factorize([left[i] for i in basis]).p < p:
+            continue
+        rest = [j for j in range(m) if j not in basis]
+        for bits in product((0, 1), repeat=len(rest)):
+            lower = tuple(j for j, bit in zip(rest, bits) if bit == 0)
+            upper = tuple(j for j, bit in zip(rest, bits) if bit == 1)
+            yield BasisStructure(basis, lower, upper)
+
+
 def test_dual_filter_never_discards_the_optimum():
     rng = random.Random(65)
     for _ in range(30):
         p = rng.randint(1, 2)
         m = rng.randint(p, 6)
         inst = random_rank_p_instance(rng, m, rng.randint(p, 4), p)
-        filtered = solve_fixed_rank(inst)
-        unfiltered = solve_fixed_rank(inst, dual_filter=False)
-        assert filtered.value == unfiltered.value
+        superset_best = max(
+            best_y_for_x(inst, x)[1]
+            for structure in all_basis_structures(rank_factorize(inst.q).left, m)
+            for x in candidates_from_basis(structure)
+        )
+        assert solve_fixed_rank(inst).value == superset_best
 
 
 def test_superset_enumeration_covers_all_splits():
     left = ((Fraction(1),), (Fraction(2),), (Fraction(3),))
-    structures = list(enumerate_all_basis_structures(left, 3))
+    structures = list(all_basis_structures(left, 3))
     # 3 bases x 2^2 splits of the remaining two variables.
     assert len(structures) == 12

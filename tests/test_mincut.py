@@ -180,8 +180,10 @@ def test_eliminator_solver_refuses_past_limit():
     q = [[-1, 0], [0, -1]]
     inst = Instance(q)
     elim = min_negative_eliminator(q)
-    with pytest.raises(SolverRefusal):
-        solve_with_eliminator(inst, elim, size_limit=1)
+    with pytest.raises(SolverRefusal) as err:
+        solve_with_eliminator(inst, elim, eliminator_limit=1)
+    message = str(err.value)
+    assert "eliminator_limit" in message and "--eliminator-limit" in message
 
 
 def test_eliminator_solver_matches_oracle():

@@ -10,7 +10,6 @@ from bqp01 import (
     FlowNetwork,
     Instance,
     RankOneForm,
-    detect_additive,
     dispatch_solve,
     evaluate_cut_objective,
     evaluate_objective,
@@ -26,7 +25,6 @@ from bqp01 import (
     solve_nonnegative,
     solve_oracle,
     solve_rank_one,
-    solve_rank_one_zero_linear,
     solve_with_eliminator,
     transpose_instance,
     ulp_breakpoints,
@@ -219,11 +217,10 @@ def test_public_values_are_fractions_on_int_input():
         solve_oracle(inst).value,
         solve_enumeration(inst).value,
         solve_fixed_rank(inst).value,
-        solve_additive(inst, detect_additive(inst.q)).value,
+        solve_additive(inst).value,
         solve_nonnegative(inst).value,
         solve_with_eliminator(inst, min_negative_eliminator(inst.q)).value,
         solve_rank_one(form).value,
-        solve_rank_one_zero_linear(1, [2], 3, [4], [0], [5]).value,
         *(dispatch_solve(inst, name).solution.value for name in ALGORITHMS),
         dispatch_solve(CutInstance(inst.q, inst.c, inst.d)).solution.value,
     ]

@@ -112,9 +112,8 @@ def test_every_applicable_solver_matches_the_oracle(coeffs):
     ]
     if rank_factorize(inst.q).p <= 1:
         direct.append(solve_rank_one(RankOneForm.from_instance(inst)))
-    dec = detect_additive(inst.q)
-    if dec is not None:
-        direct.append(solve_additive(inst, dec))
+    if detect_additive(inst.q) is not None:
+        direct.append(solve_additive(inst))
     if detect_nonnegative(inst.q):
         direct.append(solve_nonnegative(inst))
     for sol in direct:

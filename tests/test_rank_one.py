@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -9,7 +8,6 @@ from bqp01 import (
     RankOneForm,
     pkp_breakpoints,
     solve_rank_one,
-    solve_rank_one_zero_linear,
     ulp_breakpoints,
 )
 from bqp01.fixtures import sample_rank_one
@@ -176,48 +174,16 @@ def test_solver_handles_zero_matrix():
     assert solve_rank_one(form).value == 4
 
 
-def test_zero_linear_simple():
-    sol = solve_rank_one_zero_linear(0, [1], 0, [1], [0], [0])
-    assert sol.value == 1
-    assert sol.y == (1,)
-
-
-def test_zero_linear_worked_example():
-    sol = solve_rank_one_zero_linear(1, [-2], 0, [3, -3], [5], [0, 0])
-    assert sol.value == 8
-    assert sol.x == (1,)
-    assert sol.y == (0, 1)
-
-
-def test_zero_linear_rejects_two_sided_linear_terms():
-    with pytest.raises(ValueError, match="solve_rank_one"):
-        solve_rank_one_zero_linear(0, [1], 0, [1], [1], [1])
-
-
-def brute_force_affine(a0, a, b0, b, c, d):
-    best = None
-    for x in product((0, 1), repeat=len(a)):
-        for y in product((0, 1), repeat=len(b)):
-            ax = a0 + sum(v for v, s in zip(a, x) if s)
-            by = b0 + sum(v for v, s in zip(b, y) if s)
-            value = ax * by + sum(v for v, s in zip(c, x) if s) + sum(
-                v for v, s in zip(d, y) if s
-            )
-            if best is None or value > best:
-                best = value
-    return best
-
-
-def test_zero_linear_matches_brute_force():
+def test_sweep_solves_one_sided_linear_terms():
+    # The c = 0 or d = 0 special case needs no solver of its own.
     rng = random.Random(53)
     for _ in range(150):
         m, n = rng.randint(1, 3), rng.randint(1, 4)
-        a0, b0 = rng.randint(-4, 4), rng.randint(-4, 4)
         a = random_vector(rng, m, -5, 5)
         b = random_vector(rng, n, -5, 5)
         if rng.random() < 0.5:
             c, d = random_vector(rng, m, -5, 5), [0] * n
         else:
             c, d = [0] * m, random_vector(rng, n, -5, 5)
-        sol = solve_rank_one_zero_linear(a0, a, b0, b, c, d)
-        assert sol.value == brute_force_affine(a0, a, b0, b, c, d)
+        inst = Instance([[ai * bj for bj in b] for ai in a], c, d)
+        assert solve_rank_one(RankOneForm(a, b, c, d)).value == exhaustive_best(inst)
