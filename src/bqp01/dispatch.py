@@ -14,11 +14,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import additive as additive_mod
 from . import enumeration, fixed_rank, mincut, rank_one
 from .analysis import (
-    AdditiveDecomposition,
     Eliminator,
     detect_additive,
     detect_nonnegative,
@@ -42,27 +42,47 @@ ALGORITHMS = (
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Detected structure of a cost matrix."""
+    """Structure of ``work``, the integer instance the solvers run on.
 
-    m: int
-    n: int
-    rank: int
-    additive: AdditiveDecomposition | None
-    nonnegative: bool
-    eliminator: Eliminator
+    ``work`` is the input in 0-1 form, transposed when ``transposed`` so
+    that m <= n.  Each fact is computed on first use and describes ``work``;
+    ``lines`` reports in the caller's orientation.
+    """
+
+    work: IntegerInstance
+    transposed: bool
+
+    @cached_property
+    def nonnegative(self) -> bool:
+        return detect_nonnegative(self.work.q)
+
+    @cached_property
+    def additive(self) -> bool:
+        return detect_additive(self.work.q) is not None
+
+    @property
+    def rank(self) -> int:
+        return self.work.factorization.p
+
+    @cached_property
+    def eliminator(self) -> Eliminator:
+        return min_negative_eliminator(self.work.q)
 
     def lines(self) -> list[tuple[str, str]]:
-        pairs = [
-            ("m", str(self.m)),
-            ("n", str(self.n)),
+        m, n = self.work.m, self.work.n
+        rows, cols = self.eliminator.rows, self.eliminator.cols
+        if self.transposed:
+            m, n, rows, cols = n, m, cols, rows
+        return [
+            ("m", str(m)),
+            ("n", str(n)),
             ("rank", str(self.rank)),
             ("additive", "yes" if self.additive else "no"),
             ("nonnegative", "yes" if self.nonnegative else "no"),
             ("eliminator-size", str(self.eliminator.size)),
-            ("eliminator-rows", " ".join(map(str, self.eliminator.rows)) or "-"),
-            ("eliminator-cols", " ".join(map(str, self.eliminator.cols)) or "-"),
+            ("eliminator-rows", " ".join(map(str, rows)) or "-"),
+            ("eliminator-cols", " ".join(map(str, cols)) or "-"),
         ]
-        return pairs
 
 
 @dataclass(frozen=True)
@@ -76,16 +96,9 @@ class SolveReport:
 
 
 def analyze(inst: Instance | CutInstance) -> AnalysisReport:
-    """Run all structure detectors on the instance's cost matrix."""
-    q = inst.integer.q
-    return AnalysisReport(
-        m=inst.m,
-        n=inst.n,
-        rank=inst.integer.factorization.p,
-        additive=detect_additive(inst.q),  # offsets in the instance's own units
-        nonnegative=detect_nonnegative(q),
-        eliminator=min_negative_eliminator(q),
-    )
+    """The lazy structure report that ``dispatch_solve`` routes the instance on."""
+    is_cut = isinstance(inst, CutInstance)
+    return AnalysisReport(*normalize_orientation((cut_to_bqp01(inst) if is_cut else inst).integer))
 
 
 def dispatch_solve(
@@ -113,83 +126,62 @@ def dispatch_solve(
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
     start = time.perf_counter()
-    is_cut = isinstance(inst, CutInstance)
-    work, transposed = normalize_orientation((cut_to_bqp01(inst) if is_cut else inst).integer)
+    found = analyze(inst)
+    work = found.work
     if algorithm == "auto":
-        chosen, detected, solution = _auto_solve(
-            work, p_limit, enum_limit, eliminator_limit
-        )
-    else:
-        chosen = algorithm
-        detected, solution = _run_named(
-            work, algorithm, p_limit, enum_limit, eliminator_limit
-        )
+        algorithm = _auto_route(found, p_limit, enum_limit, eliminator_limit)
+    detected, solution = _run(found, algorithm, p_limit, enum_limit, eliminator_limit)
 
     x, y = solution.x, solution.y
     if work.objective(x, y) != solution.value * work.scale:
         raise CrossValidationError(
-            f"{chosen} reported {solution.value}, but the objective at its point "
+            f"{algorithm} reported {solution.value}, but the objective at its point "
             f"is {Fraction(work.objective(x, y), work.scale)}"
         )
-    if transposed:
+    if found.transposed:
         x, y = y, x
-    if is_cut:
+    if isinstance(inst, CutInstance):
         x = tuple(2 * v - 1 for v in x)
         y = tuple(2 * v - 1 for v in y)
     return SolveReport(
         solution=Solution(x, y, solution.value),
-        algorithm=chosen,
+        algorithm=algorithm,
         detected=detected,
         wall_time=time.perf_counter() - start,
     )
 
 
-def _auto_solve(
-    work: IntegerInstance, p_limit: int, enum_limit: int, eliminator_limit: int
-) -> tuple[str, str, Solution]:
-    if detect_nonnegative(work.q):
-        return "mincut", "nonnegative matrix", mincut.solve_nonnegative(work)
-    if detect_additive(work.q) is not None:
-        return "additive", "additive matrix", additive_mod.cardinality_scan(work)
-    rank = work.factorization.p
-    if rank <= 1:
-        form = rank_one.RankOneForm.from_instance(work)
-        return "rank1", "rank-one matrix", rank_one.solve_rank_one(form)
-    if rank <= p_limit:
-        return (
-            "rankp",
-            f"rank-{rank} matrix",
-            fixed_rank.solve_fixed_rank(work, p_limit),
-        )
-    if work.m <= enum_limit:
-        return (
-            "enum",
-            f"{work.m} rows",
-            enumeration.solve_enumeration(work, enum_limit),
-        )
-    elim = min_negative_eliminator(work.q)
-    if elim.size <= eliminator_limit:
-        return (
-            "eliminator",
-            f"negative eliminator of size {elim.size}",
-            mincut.solve_with_eliminator(work, elim, eliminator_limit),
-        )
+def _auto_route(found: AnalysisReport, p_limit: int, enum_limit: int, eliminator_limit: int):
+    """The first route whose condition holds, reading each fact only when reached."""
+    if found.nonnegative:
+        return "mincut"
+    if found.additive:
+        return "additive"
+    if found.rank <= 1:
+        return "rank1"
+    if found.rank <= p_limit:
+        return "rankp"
+    if found.work.m <= enum_limit:
+        return "enum"
+    if found.eliminator.size <= eliminator_limit:
+        return "eliminator"
     raise SolverRefusal(
-        f"no solver applicable within limits: rank {rank} > p_limit {p_limit}, "
-        f"m {work.m} > enum_limit {enum_limit}, eliminator {elim.size} > "
+        f"no solver applicable within limits: rank {found.rank} > p_limit {p_limit}, "
+        f"m {found.work.m} > enum_limit {enum_limit}, eliminator {found.eliminator.size} > "
         f"eliminator_limit {eliminator_limit}, matrix not nonnegative or additive; "
         f"raise one of them (--p-limit, --enum-limit, --eliminator-limit)",
-        report=AnalysisReport(work.m, work.n, rank, None, False, elim),
+        report=found,
     )
 
 
-def _run_named(
-    work: IntegerInstance,
-    algorithm: str,
-    p_limit: int,
-    enum_limit: int,
-    eliminator_limit: int,
+def _run(
+    found: AnalysisReport, algorithm: str, p_limit: int, enum_limit: int, eliminator_limit: int
 ) -> tuple[str, Solution]:
+    """(detected label, solution) of the named solver on ``found.work``.
+
+    Each solver is read from its module at call time, so a patched one runs.
+    """
+    work = found.work
     if algorithm == "oracle":
         return "exhaustive scan", enumeration.solve_oracle(work)
     if algorithm == "enum":
@@ -198,16 +190,16 @@ def _run_named(
         form = rank_one.RankOneForm.from_instance(work)
         return "rank-one matrix", rank_one.solve_rank_one(form)
     if algorithm == "rankp":
-        return (
-            f"rank-{work.factorization.p} matrix",
-            fixed_rank.solve_fixed_rank(work, p_limit),
-        )
+        return f"rank-{found.rank} matrix", fixed_rank.solve_fixed_rank(work, p_limit)
     if algorithm == "additive":
-        return "additive matrix", additive_mod.solve_additive(work)
+        # A known-additive matrix goes straight to the scan; otherwise
+        # solve_additive raises, naming the first mismatch.
+        scan = additive_mod.cardinality_scan if found.additive else additive_mod.solve_additive
+        return "additive matrix", scan(work)
     if algorithm == "mincut":
         return "nonnegative matrix", mincut.solve_nonnegative(work)
     if algorithm == "eliminator":
-        elim = min_negative_eliminator(work.q)
+        elim = found.eliminator
         return (
             f"negative eliminator of size {elim.size}",
             mincut.solve_with_eliminator(work, elim, eliminator_limit),

@@ -11,17 +11,14 @@ over both breakpoint lists therefore solves the instance.
 
 Internally the pipeline scales the form to integers with the shared
 ``clear_denominators`` step (a uniform positive scaling of the objective,
-so the argmax is untouched) and runs on plain integers; ratio sorting uses
-float keys for speed with exact cross-multiplication repair of equal-float
-runs, so the result is exact regardless of float precision.
+so the argmax is untouched) and runs on plain integers; ratios are sorted
+by an exact integer key, so no step rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from math import inf
 from typing import Sequence
 
 from .model import (
@@ -141,73 +138,37 @@ class BreakpointTrack:
 
 
 def _integer_form(form: RankOneForm):
-    """Integer copy (A, B, C, D, C0) with scales (u, v, s).
+    """Integer copy (A, B, C, D, C0) and its scale k.
 
     With k from ``clear_denominators`` over every coefficient, A = k*a,
-    B = k*b and the linear terms are scaled by s = k^2, so the scaled
-    objective is exactly s times the original and the breakpoint axis is
-    scaled by u = v = k.
+    B = k*b and the linear terms are scaled by k^2, so the scaled
+    objective is exactly k^2 times the original and the breakpoint axis
+    (and the convex track's slopes) are scaled by k.
     """
     (a, b, c, d, (c0,)), k = clear_denominators([form.a, form.b, form.c, form.d, (form.c0,)])
     if k > 1:
         c, d, c0 = [k * x for x in c], [k * x for x in d], k * c0
-    return a, b, c, d, c0, k, k, k * k
-
-
-def _float_ratio(num: int, den: int) -> float:
-    try:
-        return num / den
-    except OverflowError:
-        return inf if num > 0 else -inf
+    return a, b, c, d, c0, k
 
 
 def _sorted_ratio_groups(pairs: list[tuple[int, int, int]]) -> list[list[int]]:
     """Group indices by exactly equal ratio, in ascending ratio order.
 
-    ``pairs`` holds (numerator, positive denominator, index).  Sorting uses
-    float keys; any run of equal floats is re-sorted by exact
-    cross-multiplication, so the final order and grouping are exact.
-    Within a group, indices ascend.
+    ``pairs`` holds (numerator, positive denominator, index).  With D the
+    largest denominator, two distinct ratios differ by at least 1/D^2, so
+    the integer key num * D^2 // den orders them exactly and gives equal
+    ratios equal keys.  Within a group, indices ascend.
     """
-    keyed = [(_float_ratio(num, den), num, den, idx) for num, den, idx in pairs]
-    keyed.sort(key=lambda t: t[0])
-    total = len(keyed)
-    start = 0
-    ordered: list[tuple[float, int, int, int]] = []
-    while start < total:
-        stop = start + 1
-        while stop < total and keyed[stop][0] == keyed[start][0]:
-            stop += 1
-        run = keyed[start:stop]
-        if len(run) > 1:
-            run = _exact_sort(run)
-        ordered.extend(run)
-        start = stop
+    square = max((den for _, den, _ in pairs), default=1) ** 2
     groups: list[list[int]] = []
-    pos = 0
-    while pos < total:
-        _, num, den, idx = ordered[pos]
-        group = [idx]
-        pos += 1
-        while pos < total:
-            _, num2, den2, idx2 = ordered[pos]
-            if num * den2 != num2 * den:
-                break
-            group.append(idx2)
-            pos += 1
-        group.sort()
-        groups.append(group)
+    last = None
+    for key, idx in sorted([(num * square // den, idx) for num, den, idx in pairs]):
+        if key == last:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+            last = key
     return groups
-
-
-def _exact_sort(run: list[tuple[float, int, int, int]]):
-    def compare(t1, t2):
-        diff = t1[1] * t2[2] - t2[1] * t1[2]
-        if diff:
-            return -1 if diff < 0 else 1
-        return t1[3] - t2[3]
-
-    return sorted(run, key=cmp_to_key(compare))
 
 
 def _knapsack_track_ints(a: list[int], c: list[int]):
@@ -310,13 +271,13 @@ def pkp_breakpoints(form: RankOneForm) -> BreakpointTrack:
     or lower (a_i < 0) bound.  At most m+1 breakpoints; every breakpoint
     solution is binary and the track value is concave.
     """
-    a, _, c, _, _, u, _, s = _integer_form(form)
+    a, _, c, _, _, scale = _integer_form(form)
     breakpoints, groups, initial, values = _knapsack_track_ints(a, c)
     return BreakpointTrack(
-        tuple(Fraction(t, u) for t in breakpoints),
+        tuple(Fraction(t, scale) for t in breakpoints),
         tuple(groups),
         initial,
-        tuple(Fraction(h, s) for h in values),
+        tuple(Fraction(h, scale**2) for h in values),
     )
 
 
@@ -335,20 +296,20 @@ def ulp_breakpoints(form: RankOneForm) -> BreakpointTrack:
     d_j and B = sum of active b_j give the envelope value D + t B on each
     segment; the slopes B strictly increase, so the track value is convex.
     """
-    a, b, _, d, _, u, v, s = _integer_form(form)
+    a, b, _, d, _, scale = _integer_form(form)
     lam_lo = sum(x for x in a if x < 0)
     mu_pairs, groups, initial, intercepts, slopes = _linear_track_ints(b, d, lam_lo)
     values = tuple(
-        Fraction(intercepts[k + 1] * den + num * slopes[k + 1], den * s)
+        Fraction(intercepts[k + 1] * den + num * slopes[k + 1], den * scale**2)
         for k, (num, den) in enumerate(mu_pairs)
     )
     return BreakpointTrack(
-        tuple(Fraction(num, den * u) for num, den in mu_pairs),
+        tuple(Fraction(num, den * scale) for num, den in mu_pairs),
         tuple(groups),
         initial,
         values,
-        tuple(Fraction(i, s) for i in intercepts),
-        tuple(Fraction(x, v) for x in slopes),
+        tuple(Fraction(i, scale**2) for i in intercepts),
+        tuple(Fraction(x, scale) for x in slopes),
     )
 
 
@@ -362,7 +323,7 @@ def solve_rank_one(form: RankOneForm) -> Solution:
     the candidate value at t is then the sum of both envelope values plus
     c0.  The best candidate over all concave breakpoints is optimal.
     """
-    a, b, c, d, c0, _, _, s = _integer_form(form)
+    a, b, c, d, c0, scale = _integer_form(form)
     x_bps, x_groups, x_initial, x_values = _knapsack_track_ints(a, c)
     lam_lo = x_bps[0]
     mu_pairs, y_groups, y_initial, intercepts, slopes = _linear_track_ints(
@@ -392,4 +353,4 @@ def solve_rank_one(form: RankOneForm) -> Solution:
     for group in y_groups[:best_flips]:
         for index, bit in group:
             y[index] = bit
-    return Solution(tuple(x), tuple(y), Fraction(best_value, s))
+    return Solution(tuple(x), tuple(y), Fraction(best_value, scale**2))

@@ -28,6 +28,7 @@ from bqp01.fixtures import (
     sample_rank_one,
 )
 from bqp01.textio import format_instance
+from bqp01.transforms import cut_to_bqp01
 
 from conftest import exhaustive_best, random_instance
 
@@ -320,3 +321,80 @@ def test_cli_solve_stdin(monkeypatch, capsys):
     assert main(["solve", "-", "--format", "kv"]) == 0
     out = capsys.readouterr().out
     assert "algorithm=mincut" in out and "value 0 0.0" in out
+
+
+def test_refusal_report_is_in_the_callers_orientation():
+    inst = generate_instance("sparse-negative40", 40, 30, 1)
+    with pytest.raises(SolverRefusal) as err:
+        dispatch_solve(inst, enum_limit=10, eliminator_limit=5)
+    pairs = dict(err.value.report.lines())
+    assert (pairs["m"], pairs["n"]) == ("40", "30")
+    rows = {int(i) for i in pairs["eliminator-rows"].split() if i != "-"}
+    cols = {int(j) for j in pairs["eliminator-cols"].split() if j != "-"}
+    assert len(rows) + len(cols) == int(pairs["eliminator-size"]) > 5
+    # Deleting the listed rows and columns of the input leaves no negative entry.
+    assert all(
+        v >= 0
+        for i, row in enumerate(inst.q) if i not in rows
+        for j, v in enumerate(row) if j not in cols
+    )
+
+
+# The README's solver table, in auto's order: the first rule that holds
+# names the route, and an instance no rule accepts is refused.
+ROUTE_RULES = [
+    ("mincut", lambda found, m, n, limits: found.nonnegative),
+    ("additive", lambda found, m, n, limits: found.additive),
+    ("rank1", lambda found, m, n, limits: found.rank <= 1),
+    ("rankp", lambda found, m, n, limits: found.rank <= limits["p_limit"]),
+    ("enum", lambda found, m, n, limits: min(m, n) <= limits["enum_limit"]),
+    (
+        "eliminator",
+        lambda found, m, n, limits: found.eliminator.size <= limits["eliminator_limit"],
+    ),
+]
+
+
+def test_auto_takes_the_first_applicable_rule():
+    kinds = ["nonnegative", "additive", "rank1", "rank2", "rank3",
+             "sparse-negative2", "sparse-negative5", "general"]
+    instances = [
+        generate_instance(kind, m, n, seed)
+        for seed, kind in enumerate(kinds)
+        for m, n in ((5, 7), (8, 4), (3, 9))
+    ]
+    instances += [CutInstance(inst.q, inst.c, inst.d, inst.c0) for inst in instances[::3]]
+    seen = set()
+    for limits in (
+        dict(p_limit=6, enum_limit=25, eliminator_limit=25),
+        dict(p_limit=2, enum_limit=3, eliminator_limit=2),
+    ):
+        for inst in instances:
+            found = analyze(inst)
+            facts = dict(found.lines())
+            m, n = int(facts["m"]), int(facts["n"])
+            assert (m, n) == (inst.m, inst.n)
+            expected = next(
+                (name for name, holds in ROUTE_RULES if holds(found, m, n, limits)),
+                "refused",
+            )
+            seen.add(expected)
+            if expected == "refused":
+                with pytest.raises(SolverRefusal):
+                    dispatch_solve(inst, **limits)
+            else:
+                assert dispatch_solve(inst, **limits).algorithm == expected
+    assert seen == {name for name, _ in ROUTE_RULES} | {"refused"}
+
+
+def test_cut_form_analysis_equals_its_binary_rewrite():
+    rng = random.Random(104)
+    for _ in range(10):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        cut = CutInstance(
+            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)],
+            [rng.randint(-5, 5) for _ in range(m)],
+            [rng.randint(-5, 5) for _ in range(n)],
+            rng.randint(-3, 3),
+        )
+        assert analyze(cut).lines() == analyze(cut_to_bqp01(cut)).lines()

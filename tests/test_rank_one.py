@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -11,6 +12,7 @@ from bqp01 import (
     ulp_breakpoints,
 )
 from bqp01.fixtures import sample_rank_one
+from bqp01.rank_one import _sorted_ratio_groups
 
 from conftest import exhaustive_best, random_rank_one_instance, random_vector
 
@@ -187,3 +189,31 @@ def test_sweep_solves_one_sided_linear_terms():
             c, d = [0] * m, random_vector(rng, n, -5, 5)
         inst = Instance([[ai * bj for bj in b] for ai in a], c, d)
         assert solve_rank_one(RankOneForm(a, b, c, d)).value == exhaustive_best(inst)
+
+
+def test_sorted_ratio_groups_match_a_fraction_reference():
+    def reference(pairs):
+        order = sorted(pairs, key=lambda p: (Fraction(p[0], p[1]), p[2]))
+        runs = groupby(order, key=lambda p: Fraction(p[0], p[1]))
+        return [[idx for _, _, idx in run] for _, run in runs]
+
+    rng = random.Random(211)
+    for trial in range(300):
+        big = (9, 2**40, 2**70)[trial % 3]
+        pairs = []
+        for idx in range(rng.randint(0, 25)):
+            roll = rng.random()
+            if pairs and roll < 0.3:
+                # The same ratio written with other terms.
+                num, den, _ = rng.choice(pairs)
+                k = rng.randint(2, 9)
+                pairs.append((k * num, k * den, idx))
+            elif pairs and roll < 0.5:
+                # A ratio within 1/(k * den) of an earlier one.
+                num, den, _ = rng.choice(pairs)
+                k = rng.randint(2, 9)
+                pairs.append((k * num + rng.choice((-1, 1)), k * den, idx))
+            else:
+                pairs.append((rng.randint(-big, big), rng.randint(1, big), idx))
+        rng.shuffle(pairs)
+        assert _sorted_ratio_groups(pairs) == reference(pairs)
