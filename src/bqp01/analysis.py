@@ -58,7 +58,9 @@ class Eliminator:
         return len(self.rows) + len(self.cols)
 
 
-def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+def bareiss(
+    matrix: Sequence[Sequence[int]], max_pivots: int | None = None
+) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
     Returns (rows, pivots, det) with rows = det * RREF(matrix) and det > 0
@@ -67,6 +69,11 @@ def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
     row by (pivot * row - factor * pivot row) / previous pivot; by
     Sylvester's identity the division is exact and every entry is a minor
     of the input (Bareiss, Math. Comp. 22, 1968), so no fractions arise.
+
+    With ``max_pivots`` (at least 1), elimination stops as soon as that
+    many pivots are found, before eliminating the last one: len(pivots) ==
+    max_pivots then only proves rank >= max_pivots, and rows and det are
+    partial.  Fewer pivots mean the elimination finished.
     """
     rows = [list(row) for row in matrix]
     m = len(rows)
@@ -79,6 +86,9 @@ def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
         pivot_row = next((i for i in range(r, m) if rows[i][col]), None)
         if pivot_row is None:
             continue
+        if r + 1 == max_pivots:
+            pivots.append(col)
+            break
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         top = rows[r]
         pivot = top[col]

@@ -157,17 +157,18 @@ def _auto_route(found: AnalysisReport, p_limit: int, enum_limit: int, eliminator
         return "mincut"
     if found.additive:
         return "additive"
-    if found.rank <= 1:
-        return "rank1"
-    if found.rank <= p_limit:
-        return "rankp"
+    # Only ranks up to max(p_limit, 1) route, so the elimination stops one pivot past that.
+    rank = found.work.rank_at_most(max(p_limit, 1))
+    if rank is not None:
+        return "rank1" if rank <= 1 else "rankp"
     if found.work.m <= enum_limit:
         return "enum"
     if found.eliminator.size <= eliminator_limit:
         return "eliminator"
     raise SolverRefusal(
-        f"no solver applicable within limits: rank {found.rank} > p_limit {p_limit}, "
-        f"m {found.work.m} > enum_limit {enum_limit}, eliminator {found.eliminator.size} > "
+        f"no solver applicable within limits: rank > p_limit {p_limit}, "
+        f"min(m, n) {found.work.m} > enum_limit {enum_limit}, "
+        f"eliminator {found.eliminator.size} > "
         f"eliminator_limit {eliminator_limit}, matrix not nonnegative or additive; "
         f"raise one of them (--p-limit, --enum-limit, --eliminator-limit)",
         report=found,

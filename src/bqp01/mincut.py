@@ -16,20 +16,24 @@ by the labeling "source side = variable 1", so maximizing f is a minimum
 s-t cut computation, solved exactly by Dinic's blocking-flow algorithm.
 
 Matrices with scattered negative entries are handled by fixing the
-variables of a negative eliminator to all 0/1 combinations, folding each
-fixing into a reduced nonnegative instance, and taking the best of the
-2^|eliminator| min-cut solves.
+variables of a negative eliminator to all 0/1 combinations and taking the
+best of the 2^|eliminator| min cuts.  One network over the free rows and
+columns serves every fixing: Gray-code order flips one variable per step,
+which rewrites only the terminal arcs of the free nodes it touches, and
+the previous flow is kept.  Where a capacity drops below its flow, the
+same delta goes onto both terminal arcs of that node, which raises every
+cut alike (Kohli and Torr's reparameterization).  ``reduce_with_fixing``
+is the from-scratch form of one fixing.
 
 The solvers build their networks from ``Instance.integer``, so every
-capacity is an int; :func:`max_flow` is the rational interface.
+capacity is an int; :func:`max_flow` is the rational interface.  All of
+them run one Dinic core on one paired-arc layout (``_FlowGraph``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Mapping, Sequence
 
 from .analysis import Eliminator
@@ -81,129 +85,126 @@ def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
     """
     (caps,), scale = clear_denominators([[w for _, _, w in net.arcs]])
     arcs = [(u, v, w) for (u, v, _), w in zip(net.arcs, caps)]
-    total, side = _dinic(net.node_count, net.source, net.sink, arcs)
-    return Fraction(total, scale), side
+    graph = _FlowGraph(net.node_count, net.source, net.sink, arcs)
+    total = graph.augment()
+    return Fraction(total, scale), frozenset(graph.source_side())
 
 
-def _dinic(
-    node_count: int, source: int, sink: int, arcs: Sequence[tuple[int, int, int]]
-) -> tuple[int, frozenset[int]]:
-    """Maximum flow value and minimum-cut source side, integer capacities."""
-    # Arc 2k runs u -> v with capacity w; arc 2k + 1 is its residual twin.
-    to = [x for u, v, _ in arcs for x in (v, u)]
-    cap = [x for _, _, w in arcs for x in (w, 0)]
-    heads: list[list[int]] = [[] for _ in range(node_count)]
-    for k, (u, v, _) in enumerate(arcs):
-        heads[u].append(2 * k)
-        heads[v].append(2 * k + 1)
+class _FlowGraph:
+    """Residual graph of an integer-capacity network, solved by Dinic.
 
-    total = 0
-    level = [0] * node_count
-    iters = [0] * node_count
+    Arc k of the input list becomes arc 2k, with residual capacity
+    ``cap[2k]``; arc 2k + 1 is its residual twin, whose capacity is the flow
+    on arc 2k.  Callers may rewrite ``cap`` between calls to :meth:`augment`
+    as long as no arc's flow exceeds its capacity, and the flow found so
+    far is kept: that is how the eliminator walk warm-starts each fixing.
+    """
 
-    while True:
-        for i in range(node_count):
-            level[i] = -1
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for arc in heads[u]:
-                v = to[arc]
-                if cap[arc] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            break
-        for i in range(node_count):
-            iters[i] = 0
-        # Blocking flow: repeated DFS along level-increasing arcs with a
-        # per-node cursor so each arc is abandoned at most once per phase.
+    def __init__(
+        self, node_count: int, source: int, sink: int, arcs: Sequence[tuple[int, int, int]]
+    ) -> None:
+        self.source, self.sink = source, sink
+        self.to = [x for u, v, _ in arcs for x in (v, u)]
+        self.cap = [x for _, _, w in arcs for x in (w, 0)]
+        self.heads: list[list[int]] = [[] for _ in range(node_count)]
+        for k, (u, v, _) in enumerate(arcs):
+            self.heads[u].append(2 * k)
+            self.heads[v].append(2 * k + 1)
+        self.level = [0] * node_count
+
+    def augment(self) -> int:
+        """Raise the flow to a maximum one; returns the amount added.
+
+        Each phase labels nodes by residual BFS distance from the source
+        and pushes a blocking flow along level-increasing arcs, with a
+        per-node cursor so each arc is abandoned at most once per phase.
+        The last BFS, which misses the sink, leaves ``level`` >= 0 exactly
+        on the nodes the source still reaches.
+        """
+        to, cap, heads = self.to, self.cap, self.heads
+        source, sink = self.source, self.sink
+        node_count = len(heads)
+        added = 0
         while True:
+            level = [-1] * node_count
+            level[source] = 0
+            queue = [source]
+            for u in queue:
+                next_level = level[u] + 1
+                for arc in heads[u]:
+                    v = to[arc]
+                    if cap[arc] and level[v] < 0:
+                        level[v] = next_level
+                        queue.append(v)
+            self.level = level
+            if level[sink] < 0:
+                return added
+            cursor = [0] * node_count
             path: list[int] = []
             u = source
-            pushed = False
             while True:
                 if u == sink:
                     bottleneck = min(cap[arc] for arc in path)
                     for arc in path:
                         cap[arc] -= bottleneck
                         cap[arc ^ 1] += bottleneck
-                    total += bottleneck
-                    pushed = True
-                    break
-                advanced = False
-                while iters[u] < len(heads[u]):
-                    arc = heads[u][iters[u]]
-                    v = to[arc]
-                    if cap[arc] > 0 and level[v] == level[u] + 1:
-                        path.append(arc)
-                        u = v
-                        advanced = True
-                        break
-                    iters[u] += 1
-                if advanced:
+                    added += bottleneck
+                    # Resume from the tail of the first saturated arc.
+                    del path[next(k for k, arc in enumerate(path) if not cap[arc]) :]
+                    u = to[path[-1]] if path else source
                     continue
-                level[u] = -1
-                if not path:
-                    break
-                u = _arc_tail(to, path.pop())
-            if not pushed and u == source:
-                break
+                arcs, next_level = heads[u], level[u] + 1
+                for k in range(cursor[u], len(arcs)):
+                    arc = arcs[k]
+                    if cap[arc] and level[to[arc]] == next_level:
+                        cursor[u] = k
+                        path.append(arc)
+                        u = to[arc]
+                        break
+                else:
+                    cursor[u] = len(arcs)
+                    if u == source:
+                        break
+                    # Dead end: no later path of this phase passes u.
+                    level[u] = -1
+                    u = to[path.pop() ^ 1]
 
-    reachable = [False] * node_count
-    reachable[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for arc in heads[u]:
-            v = to[arc]
-            if cap[arc] > 0 and not reachable[v]:
-                reachable[v] = True
-                queue.append(v)
-    side = frozenset(i for i in range(node_count) if reachable[i])
-    return total, side
-
-
-def _arc_tail(to: Sequence[int], arc: int) -> int:
-    # Paired arcs: the reverse of arc k is k ^ 1, so the tail of k is the
-    # head of its reverse.
-    return to[arc ^ 1]
+    def source_side(self) -> list[int]:
+        """Nodes reachable from the source after :meth:`augment`."""
+        return [v for v, lv in enumerate(self.level) if lv >= 0]
 
 
-def _network_parts(q: Sequence[Sequence], c: Sequence, d: Sequence):
-    """Nodes, arcs, and offset (without c0) for the provisioning network.
+def _terminal_caps(row_sum: int, linear: int) -> tuple[int, int]:
+    """(source -> node, node -> sink) capacities of a variable node."""
+    return row_sum + (linear if linear > 0 else 0), (-linear if linear < 0 else 0)
 
-    Capacities are in the units of the coefficients: ints for an integer
-    instance.  Accepts empty row or column sets so reduced instances can
-    reuse it.  Node layout: 0 = source, 1 = sink, then the m row nodes,
-    then the n column nodes.
+
+def _provisioning_arcs(q, rows, cols, linear) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Arcs of the provisioning network over ``rows`` x ``cols`` of q.
+
+    Node 0 is the source, 1 the sink, 2 + p the p-th of rows then cols,
+    whose linear coefficient is ``linear[p]``.
+    Arcs 2p and 2p + 1 are node 2 + p's source and sink arcs, present even
+    at capacity 0 so the eliminator walk can rewrite them; the q arcs
+    follow.  Also returns each node's row sum (0 for columns).  Raises
+    ValueError on a negative entry in the selected block.
     """
-    m, n = len(c), len(d)
-    offset = 0
-    arcs = []
-    for i in range(m):
-        row_sum = sum(q[i])
-        if any(v < 0 for v in q[i]):
+    first_col = 2 + len(rows)
+    row_sums = []
+    pair_arcs = []
+    for a, i in enumerate(rows):
+        row = q[i]
+        entries = [row[j] for j in cols]
+        if any(v < 0 for v in entries):
             raise ValueError("cost matrix has a negative entry")
-        offset += row_sum
-        supply = row_sum + (c[i] if c[i] > 0 else 0)
-        if supply > 0:
-            arcs.append((0, 2 + i, supply))
-        if c[i] > 0:
-            offset += c[i]
-        elif c[i] < 0:
-            arcs.append((2 + i, 1, -c[i]))
-        for j in range(n):
-            if q[i][j] > 0:
-                arcs.append((2 + i, 2 + m + j, q[i][j]))
-    for j in range(n):
-        if d[j] > 0:
-            offset += d[j]
-            arcs.append((0, 2 + m + j, d[j]))
-        elif d[j] < 0:
-            arcs.append((2 + m + j, 1, -d[j]))
-    return 2 + m + n, arcs, offset
+        row_sums.append(sum(entries))
+        pair_arcs.extend((2 + a, first_col + b, v) for b, v in enumerate(entries) if v)
+    row_sums += [0] * len(cols)
+    arcs = []
+    for p, (row_sum, lin) in enumerate(zip(row_sums, linear)):
+        to_node, to_sink = _terminal_caps(row_sum, lin)
+        arcs += [(0, 2 + p, to_node), (2 + p, 1, to_sink)]
+    return arcs + pair_arcs, row_sums
 
 
 def build_cut_network(inst: Instance) -> tuple[FlowNetwork, Fraction]:
@@ -213,30 +214,17 @@ def build_cut_network(inst: Instance) -> tuple[FlowNetwork, Fraction]:
     labeling "source side = variable 1" the induced cut capacity equals
     offset - f(x, y).  Raises ValueError on a negative matrix entry.
     """
-    node_count, arcs, offset = _network_parts(inst.q, inst.c, inst.d)
+    arcs, _ = _provisioning_arcs(inst.q, range(inst.m), range(inst.n), (*inst.c, *inst.d))
+    offset = sum(w for u, _, w in arcs if u == 0)
     return (
-        FlowNetwork(node_count, 0, 1, tuple(arcs)),
+        FlowNetwork(2 + inst.m + inst.n, 0, 1, tuple(a for a in arcs if a[2])),
         offset + inst.c0,
     )
 
 
-def _solve_nonnegative_parts(
-    q: Sequence[Sequence[int]], c: Sequence[int], d: Sequence[int]
-) -> tuple[int, list[int], list[int]]:
-    """Optimal (value-without-c0, x, y) for nonnegative q; dims may be 0."""
-    m, n = len(c), len(d)
-    node_count, arcs, offset = _network_parts(q, c, d)
-    cut_value, side = _dinic(node_count, 0, 1, arcs)
-    x = [1 if (2 + i) in side else 0 for i in range(m)]
-    y = [1 if (2 + m + j) in side else 0 for j in range(n)]
-    return offset - cut_value, x, y
-
-
 def solve_nonnegative(inst: Instance | IntegerInstance) -> Solution:
     """Optimal solution of an instance with entrywise nonnegative matrix."""
-    work = inst.integer
-    value, x, y = _solve_nonnegative_parts(work.q, work.c, work.d)
-    return Solution(tuple(x), tuple(y), Fraction(value + work.c0, work.scale))
+    return _best_fixing(inst.integer, Eliminator((), ()))
 
 
 @dataclass(frozen=True)
@@ -335,7 +323,20 @@ def solve_with_eliminator(
     Every 0/1 assignment of the eliminator's rows and columns leaves a
     nonnegative reduced matrix, solved by min-cut; the best of the
     2^|eliminator| reduced optima is optimal overall.  Ties prefer the
-    lexicographically smallest (x, y).
+    lexicographically smallest (x, y).  Raises ValueError if the
+    eliminator leaves a negative entry.
+
+    The fixings share one network over the free rows and columns, visited
+    in Gray-code order.  Flipping row i moves d'_j = d_j + (sum of q_ij
+    over rows fixed to 1) by q_ij on the free columns, flipping column j
+    moves c'_i alike, and both move the constant.  Only the touched nodes'
+    terminal arcs are rewritten, and the flow is kept.  Where a capacity
+    falls below its arc's flow, the same delta is added to both terminal
+    arcs of that node (Kohli and Torr, "Dynamic graph cuts", ICCV 2005):
+    every cut crosses exactly one of them, so all cuts grow by delta, the
+    minimum cuts stay the same sets, and the flow is feasible again.  Each
+    fixing then augments only along the paths its change opened, and gets
+    the same (value, x, y) as a fresh solve of :func:`reduce_with_fixing`.
     """
     if elim.size > eliminator_limit:
         raise SolverRefusal(
@@ -344,20 +345,71 @@ def solve_with_eliminator(
             limit=eliminator_limit,
             measured=elim.size,
         )
-    work = inst.integer
+    return _best_fixing(inst.integer, elim)
+
+
+def _best_fixing(work: IntegerInstance, elim: Eliminator) -> Solution:
+    """The best of the fixings' optima; ties take the smallest (x, y)."""
     best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
-    for bits in product((0, 1), repeat=elim.size):
-        fixed_x = {i: bits[a] for a, i in enumerate(elim.rows)}
-        fixed_y = {j: bits[len(elim.rows) + b] for b, j in enumerate(elim.cols)}
-        reduced = reduce_with_fixing(work, fixed_x, fixed_y)
-        value, x_free, y_free = _solve_nonnegative_parts(
-            reduced.q, reduced.c, reduced.d
-        )
-        value += reduced.constant
-        x, y = reduced.assemble(x_free, y_free)
-        if best is None or value > best[0] or (
-            value == best[0] and (x, y) < (best[1], best[2])
-        ):
+    for value, x, y in _fixing_optima(work, elim):
+        if best is None or value > best[0] or (value == best[0] and (x, y) < best[1:]):
             best = (value, x, y)
     assert best is not None
     return Solution(best[1], best[2], Fraction(best[0], work.scale))
+
+
+def _fixing_optima(work: IntegerInstance, elim: Eliminator):
+    """(value, x, y) of each fixing's minimal optimum, in Gray-code order.
+
+    Values are in the units of ``work``.  The free part of x and y is the
+    residual source side, the minimal minimum cut.  With S the source-arc
+    capacities, raised as :func:`solve_with_eliminator` describes,
+    f = constant + sum S - cut for every labeling, so the fixing's value
+    is constant + sum S - max flow.
+    """
+    q, c, d = work.q, work.c, work.d
+    fixed_rows, fixed_cols = set(elim.rows), set(elim.cols)
+    rows = [i for i in range(work.m) if i not in fixed_rows]
+    cols = [j for j in range(work.n) if j not in fixed_cols]
+    linear = [c[i] for i in rows] + [d[j] for j in cols]
+    arcs, row_sums = _provisioning_arcs(q, rows, cols, linear)
+    graph = _FlowGraph(2 + len(linear), 0, 1, arcs)
+    cap = graph.cap
+    first_col = len(rows)
+    x, y = [0] * work.m, [0] * work.n
+    # Per eliminator variable: where it lives, its own linear term, its q
+    # entries on free nodes, and those shared with the other eliminator side.
+    flips = [
+        (x, i, c[i], [(first_col + b, q[i][j]) for b, j in enumerate(cols) if q[i][j]],
+         [(y, j, q[i][j]) for j in elim.cols])
+        for i in elim.rows
+    ] + [
+        (y, j, d[j], [(p, q[i][j]) for p, i in enumerate(rows) if q[i][j]],
+         [(x, i, q[i][j]) for i in elim.rows])
+        for j in elim.cols
+    ]
+    constant = work.c0
+    source_total = sum(w for u, _, w in arcs if u == 0)
+    flow = 0
+    for step in range(1 << elim.size):
+        if step:
+            vec, k, own, couplings, shared = flips[(step & -step).bit_length() - 1]
+            vec[k] ^= 1
+            sign = 1 if vec[k] else -1
+            constant += sign * (own + sum(v for other, at, v in shared if other[at]))
+            for p, v in couplings:
+                linear[p] += sign * v
+                to_node, to_sink = _terminal_caps(row_sums[p], linear[p])
+                s_arc, t_arc = 4 * p, 4 * p + 2
+                s_flow, t_flow = cap[s_arc + 1], cap[t_arc + 1]
+                extra = max(0, s_flow - to_node, t_flow - to_sink)
+                source_total += to_node + extra - cap[s_arc] - s_flow
+                cap[s_arc] = to_node + extra - s_flow
+                cap[t_arc] = to_sink + extra - t_flow
+        flow += graph.augment()
+        level = graph.level
+        for p, i in enumerate(rows):
+            x[i] = 1 if level[2 + p] >= 0 else 0
+        for b, j in enumerate(cols):
+            y[j] = 1 if level[2 + first_col + b] >= 0 else 0
+        yield constant + source_total - flow, tuple(x), tuple(y)

@@ -131,9 +131,28 @@ class IntegerInstance(_Shape):
     @cached_property
     def factorization(self):
         """Integer rank factorization of q, computed once on first use."""
+        return self._factorize(None)
+
+    def rank_at_most(self, limit: int) -> int | None:
+        """rank(q) if it is at most ``limit``, else None.
+
+        The elimination stops once limit + 1 pivots prove the rank larger.
+        One that finishes within the limit is the whole factorization, so
+        it is cached as ``factorization`` and no route eliminates twice.
+        """
+        fact = self.__dict__.get("factorization") or self._factorize(limit + 1)
+        if fact is None or fact.p > limit:
+            return None
+        self.__dict__["factorization"] = fact  # the cached_property's slot
+        return fact.p
+
+    def _factorize(self, max_pivots: int | None):
+        """The factorization, or None if ``max_pivots`` pivots stopped it."""
         from .analysis import RankFactorization, bareiss  # analysis imports model
 
-        rows, pivots, det = bareiss(self.q)
+        rows, pivots, det = bareiss(self.q, max_pivots)
+        if len(pivots) == max_pivots:
+            return None
         left = tuple(tuple(row[col] for col in pivots) for row in self.q)
         return RankFactorization(len(pivots), left, tuple(map(tuple, rows[: len(pivots)])), det)
 

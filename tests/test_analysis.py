@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import sympy
+
 from bqp01 import (
+    Instance,
     detect_additive,
     detect_nonnegative,
     maximum_bipartite_matching,
     min_negative_eliminator,
     rank_factorize,
 )
+from bqp01.analysis import bareiss
 from bqp01.fixtures import sample_additive, sample_nonnegative, sample_rank_one
 
 from conftest import random_fraction, random_matrix
@@ -110,6 +114,42 @@ def test_rref_pivots_are_unit_columns():
     for r, col in enumerate([0, 2]):
         assert right[r][col] == 1
         assert all(right[i][col] == 0 for i in range(len(right)) if i != r)
+
+
+def product_of_rank(rng, m, n, r):
+    """An m x n integer matrix of rank at most r, usually exactly r."""
+    left = random_matrix(rng, m, r, -4, 4)
+    right = random_matrix(rng, r, n, -4, 4)
+    return [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+
+
+def test_bounded_rank_matches_sympy():
+    rng = random.Random(33)
+    cases = [[[0] * 4] * 3, [[0] * 5], [[3, 0, -1, 2]], [[0], [2], [0]]]
+    cases += [random_matrix(rng, 1, rng.randint(1, 6), -3, 3) for _ in range(10)]
+    for _ in range(150):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        cases.append(product_of_rank(rng, m, n, rng.randint(0, min(m, n))))
+    cases += [product_of_rank(rng, 9, 3, 3) for _ in range(10)]  # m > n, full column rank
+    at_limit = over_limit = 0
+    for q in cases:
+        rank = sympy.Matrix(q).rank()
+        full = bareiss(q)
+        assert len(full[1]) == rank
+        for limit in range(0, 5):
+            rows, pivots, det = bareiss(q, limit + 1)
+            assert len(pivots) == min(rank, limit + 1)
+            if rank <= limit:  # finished: the whole elimination
+                assert (rows, pivots, det) == full
+            work = Instance(q).integer
+            assert work.rank_at_most(limit) == (rank if rank <= limit else None)
+            if rank <= limit:
+                assert work.__dict__["factorization"] == Instance(q).integer.factorization
+            else:
+                assert "factorization" not in work.__dict__
+            at_limit += rank == limit
+            over_limit += rank == limit + 1
+    assert at_limit > 50 and over_limit > 50
 
 
 def test_additive_detection_recovers_convention():

@@ -5,8 +5,10 @@ from itertools import product
 
 import pytest
 
+import bqp01.analysis
 import bqp01.dispatch
 import bqp01.enumeration
+import bqp01.fixed_rank
 from bqp01 import (
     CrossValidationError,
     CutInstance,
@@ -338,6 +340,46 @@ def test_refusal_report_is_in_the_callers_orientation():
         for i, row in enumerate(inst.q) if i not in rows
         for j, v in enumerate(row) if j not in cols
     )
+
+
+def test_refusal_names_the_shorter_side_for_enum():
+    for m, n in ((40, 30), (30, 40)):
+        inst = generate_instance("sparse-negative40", m, n, 1)
+        with pytest.raises(SolverRefusal) as err:
+            dispatch_solve(inst, enum_limit=10, eliminator_limit=5)
+        assert "min(m, n) 30 > enum_limit 10" in str(err.value)
+        assert "rank > p_limit 6" in str(err.value)
+        # The report still measures the whole rank.
+        assert dict(err.value.report.lines())["rank"] == "30"
+
+
+def test_routes_eliminate_the_full_matrix_at_most_once(monkeypatch):
+    calls = []
+    original = bqp01.analysis.bareiss
+
+    def recording(matrix, max_pivots=None):
+        rows, pivots, det = original(matrix, max_pivots)
+        calls.append((len(matrix), len(matrix[0]), len(pivots) != max_pivots))
+        return rows, pivots, det
+
+    monkeypatch.setattr(bqp01.analysis, "bareiss", recording)
+    monkeypatch.setattr(bqp01.fixed_rank, "bareiss", recording)
+    cases = [
+        (generate_instance("rank1", 7, 9, 1), {}, "rank1", 1),
+        (generate_instance("rank1", 9, 7, 2), {}, "rank1", 1),
+        (generate_instance("rank2", 8, 11, 3), {}, "rankp", 1),
+        (generate_instance("rank3", 11, 8, 4), {}, "rankp", 1),
+        (generate_instance("general", 6, 9, 5), dict(p_limit=2), "enum", 0),
+        (generate_instance("sparse-negative5", 30, 30, 6), dict(p_limit=2, enum_limit=3),
+         "eliminator", 0),
+    ]
+    for inst, limits, route, full_runs in cases:
+        calls.clear()
+        assert dispatch_solve(inst, **limits).algorithm == route
+        on_matrix = [done for m, n, done in calls if {m, n} == {inst.m, inst.n}]
+        # One elimination of the matrix, which finishes only when the rank
+        # is within p_limit; rankp's small basis inverses are not counted.
+        assert len(on_matrix) == 1 and on_matrix.count(True) == full_runs
 
 
 # The README's solver table, in auto's order: the first rule that holds

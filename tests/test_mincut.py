@@ -5,8 +5,10 @@ from itertools import product
 import pytest
 
 from bqp01 import (
+    Eliminator,
     FlowNetwork,
     Instance,
+    Solution,
     SolverRefusal,
     build_cut_network,
     evaluate_objective,
@@ -17,6 +19,7 @@ from bqp01 import (
     solve_with_eliminator,
 )
 from bqp01.fixtures import sample_general, sample_nonnegative
+from bqp01.mincut import _fixing_optima
 
 from conftest import exhaustive_best, random_instance, random_matrix, random_vector
 
@@ -205,3 +208,68 @@ def test_eliminator_handles_full_row_and_column_fixings():
     elim = min_negative_eliminator(inst.q)
     sol = solve_with_eliminator(inst, elim)
     assert sol.value == exhaustive_best(inst)
+
+
+def fresh_fixing_optimum(work, fixed_x, fixed_y):
+    """One fixing solved from scratch: reduce_with_fixing, then a new min cut."""
+    reduced = reduce_with_fixing(work, fixed_x, fixed_y)
+    if reduced.free_rows and reduced.free_cols:
+        sol = solve_nonnegative(Instance(reduced.q, reduced.c, reduced.d))
+        x_free, y_free, value = sol.x, sol.y, sol.value
+    else:
+        # A whole side is fixed, so each free variable stands alone; the
+        # minimal optimum sets it to 1 only for a positive linear term.
+        x_free = tuple(int(v > 0) for v in reduced.c)
+        y_free = tuple(int(v > 0) for v in reduced.d)
+        value = sum(v for v in reduced.c + reduced.d if v > 0)
+    x, y = reduced.assemble(x_free, y_free)
+    return value + reduced.constant, x, y
+
+
+def random_sparse_negative_instance(rng, m, n, negatives, zero_linear):
+    q = random_matrix(rng, m, n, 0, 6)
+    for _ in range(negatives):
+        q[rng.randrange(m)][rng.randrange(n)] = rng.randint(-6, -1)
+    if zero_linear:  # ties: many fixings and cuts share a value
+        return Instance(q, None, None, rng.randint(-3, 3))
+    c, d = random_vector(rng, m, -6, 6), random_vector(rng, n, -6, 6)
+    return Instance(q, c, d, rng.randint(-3, 3))
+
+
+def test_warm_started_walk_equals_fresh_solves_on_every_fixing():
+    rng = random.Random(86)
+    sizes = set()
+    for trial in range(90):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        inst = random_sparse_negative_instance(rng, m, n, rng.randint(0, 14), trial % 3 == 0)
+        elim = min_negative_eliminator(inst.q)
+        if trial % 5 == 1:
+            elim = Eliminator(tuple(range(m)), ())  # every row: no free row is left
+        elif trial % 5 == 2:
+            elim = Eliminator((), tuple(range(n)))  # every column
+        elif trial % 5 == 3:  # a larger, non-minimum eliminator
+            free = sorted(set(range(m)) - set(elim.rows))
+            rows = set(elim.rows) | set(rng.sample(free, len(free) // 2))
+            elim = Eliminator(tuple(sorted(rows)), elim.cols)
+        if elim.size > 8:
+            continue
+        work = inst.integer
+        fresh = []
+        for value, x, y in _fixing_optima(work, elim):
+            fixed_x = {i: x[i] for i in elim.rows}
+            fixed_y = {j: y[j] for j in elim.cols}
+            fresh.append(fresh_fixing_optimum(work, fixed_x, fixed_y))
+            assert (value, x, y) == fresh[-1]
+        # Each fixing once, and the best of them with ties to the smallest (x, y).
+        assert len({(x, y) for _, x, y in fresh}) == len(fresh) == 2 ** elim.size
+        value, x, y = min(fresh, key=lambda r: (-r[0], r[1], r[2]))
+        assert solve_with_eliminator(inst, elim) == Solution(x, y, Fraction(value))
+        sizes.add(elim.size)
+    assert sizes == set(range(9))
+
+
+def test_eliminator_leaving_a_negative_entry_is_rejected():
+    inst = Instance([[-1, 2], [3, -4]])
+    for elim in (Eliminator((), ()), Eliminator((0,), ()), Eliminator((), (1,))):
+        with pytest.raises(ValueError, match="negative entry"):
+            solve_with_eliminator(inst, elim)
