@@ -11,6 +11,13 @@ basis's unique lower/upper split from reduced-cost signs, and emitting the
 2^p corner vectors per structure yields a candidate set of at most
 C(m,p) * 2^p binary vectors that provably contains an optimal x.
 
+The reduced costs of a basis come from one dual price vector
+pi = c_B^T adj(B), computed once per basis, so each nonbasic sign costs
+O(p).  Each candidate is the sign vector of a cell of the arrangement of
+the m hyperplanes c_i + L_i.u = 0 in R^p, and a cell is the corner of
+every basis (vertex) on its boundary, so most candidates repeat; each
+distinct x is scored once.
+
 Degenerate (zero) reduced costs are resolved by a symbolic lexicographic
 perturbation of the objective vector, c_i -> c_i + eps^i for an
 infinitesimal eps: the sign of a reduced cost becomes the sign of the
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .analysis import bareiss
@@ -107,7 +115,10 @@ def enumerate_dual_feasible_bases(
     matrix.  Each nonsingular p-subset of variables yields exactly one
     structure: nonbasic variables go to the lower set on positive reduced
     cost and to the upper set on negative (signs are never zero under the
-    symbolic perturbation).  At most C(m, p) structures are returned.
+    symbolic perturbation).  The reduced cost of j times det is
+    pi.L_j - det c_j with the basis's price vector pi; only a zero one
+    goes to :func:`reduced_cost_sign` for the perturbation's tie rule.
+    At most C(m, p) structures are returned.
     Scaling ``left`` and ``c`` to integers keeps every sign.  Raises
     ValueError if no p-subset is nonsingular (column rank below p).
     """
@@ -123,12 +134,17 @@ def enumerate_dual_feasible_bases(
         if inverse is None:
             continue
         det, adjugate = inverse
+        prices = [
+            sum(c[i] * a for i, a in zip(basis, column)) for column in zip(*adjugate)
+        ]
         lower, upper = [], []
         basis_set = set(basis)
         for j in range(m):
             if j not in basis_set:
-                sign = reduced_cost_sign(left, c, basis, det, adjugate, j)
-                (lower if sign > 0 else upper).append(j)
+                base = sum(map(mul, prices, left[j])) - det * c[j]
+                if not base:
+                    base = reduced_cost_sign(left, c, basis, det, adjugate, j)
+                (lower if base > 0 else upper).append(j)
         structures.append(BasisStructure(basis, tuple(lower), tuple(upper)))
     if not structures:
         raise ValueError("factor does not have full column rank")
@@ -186,10 +202,13 @@ def solve_fixed_rank(
 
     Uses the instance's integer rank factorization q = L R / D, enumerates
     candidate x-vectors from all dual feasible basis structures, completes
-    each with its closed-form y, and returns the best.  Each candidate is
-    scored in O((m + n) p) integer operations from t = L^T x: D times the
-    objective is D (c.x + c0) plus the positive coefficients
-    D d_j + (R^T t)_j.  Ties prefer the lexicographically smallest (x, y).
+    each distinct one with its closed-form y, and returns the best; a
+    repeat (the same arrangement cell reached from another basis) is
+    counted against the C(m,p) * 2^p bound but not scored again.  Each
+    candidate is scored in O((m + n) p) integer operations from
+    t = L^T x: D times the objective is D (c.x + c0) plus the positive
+    coefficients D d_j + (R^T t)_j.  Ties prefer the lexicographically
+    smallest (x, y).
     """
     work = inst.integer
     fact = work.factorization
@@ -205,9 +224,14 @@ def solve_fixed_rank(
     best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
     bound = comb(work.m, fact.p) * (2 ** fact.p)
     count = 0
+    seen = set()  # bytes(x), not x: a 0/1 tuple takes 8 bytes a position
     for structure in enumerate_dual_feasible_bases(fact.left, work.c):
         for x in candidates_from_basis(structure):
             count += 1
+            key = bytes(x)
+            if key in seen:
+                continue
+            seen.add(key)
             y, gain = _completion(fact.right, d, fact.left, x)
             value = gain + den * (work.c0 + sum(ci for ci, xi in zip(work.c, x) if xi))
             if best is None or value > best[0] or (

@@ -24,8 +24,19 @@ from .errors import ParseError
 from .model import CutInstance, Instance, Solution
 
 
-def parse_rational(token: str, line: int | None = None) -> Fraction:
-    """Parse a sign/decimal/rational token exactly."""
+def parse_rational(token: str, line: int | None = None) -> int | Fraction:
+    """Parse a sign/decimal/rational token exactly: an int when the token
+    is a plain integer, else a Fraction.
+
+    A token without '/', '.' or '_' is tried as an int first (``int`` and
+    ``Fraction`` agree on those; before Python 3.11 ``Fraction`` rejects
+    underscores, so they always take the ``Fraction`` path).
+    """
+    if "/" not in token and "." not in token and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -8,7 +9,9 @@ import pytest
 from bqp01 import (
     BasisStructure,
     Instance,
+    Solution,
     SolverRefusal,
+    SplitMix64,
     best_y_for_x,
     candidates_from_basis,
     enumerate_dual_feasible_bases,
@@ -16,7 +19,9 @@ from bqp01 import (
     solve_fixed_rank,
     solve_rank_one,
     RankOneForm,
+    generate_instance,
 )
+from bqp01 import fixed_rank
 from bqp01.fixed_rank import (
     integer_inverse,
     reduced_cost_sign,
@@ -205,3 +210,134 @@ def test_superset_enumeration_covers_all_splits():
     structures = list(all_basis_structures(left, 3))
     # 3 bases x 2^2 splits of the remaining two variables.
     assert len(structures) == 12
+
+
+def degenerate_factors(rng, count):
+    """(left, c) pairs of full column rank: random ones, and ones whose
+    arrangement of hyperplanes c_i + left_i.u = 0 is degenerate (repeated
+    rows of ``left``, c = 0, or many hyperplanes through one point)."""
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        p = rng.randint(1, 3)
+        m = rng.randint(p, 7)
+        left = random_matrix(rng, m, p, -3, 3)
+        c = random_vector(rng, m, -4, 4)
+        if kind == 1:
+            for i in range(1, m, 2):
+                left[i] = list(left[i - 1])
+                c[i] = c[i - 1]
+        elif kind == 2:
+            c = [0] * m
+        elif kind == 3:
+            point = random_vector(rng, p, -2, 2)
+            for i in range(rng.randint(m // 2, m)):
+                c[i] = -sum(a * u for a, u in zip(left[i], point))
+        if rank_factorize(left).p == p:
+            out.append((left, c))
+    return out
+
+
+def test_price_vector_signs_equal_reduced_cost_signs(monkeypatch):
+    fallbacks = []
+
+    def counting(left, c, basis, det, adjugate, j):
+        fallbacks.append(j)
+        return reduced_cost_sign(left, c, basis, det, adjugate, j)
+
+    monkeypatch.setattr(fixed_rank, "reduced_cost_sign", counting)
+    for left, c in degenerate_factors(random.Random(66), 80):
+        m, p = len(left), len(left[0])
+        structures = enumerate_dual_feasible_bases(left, c)
+        expected = []
+        for basis in combinations(range(m), p):
+            inverse = integer_inverse([[left[i][k] for i in basis] for k in range(p)])
+            if inverse is None:
+                continue
+            signs = {
+                j: reduced_cost_sign(left, c, basis, *inverse, j)
+                for j in range(m)
+                if j not in basis
+            }
+            lower = tuple(j for j, sign in signs.items() if sign > 0)
+            upper = tuple(j for j, sign in signs.items() if sign < 0)
+            expected.append(BasisStructure(basis, lower, upper))
+        assert structures == expected, (left, c)
+    # Zero reduced costs occur (c = 0 makes every one zero) and take the
+    # perturbation's tie rule.
+    assert fallbacks
+
+
+def degenerate_instances(rng, count):
+    """Small instances q = left @ right over the factors above."""
+    out = []
+    for left, c in degenerate_factors(rng, count):
+        p = len(left[0])
+        n = rng.randint(p, 5)
+        right = random_matrix(rng, p, n, -3, 3)
+        if rank_factorize(right).p < p:
+            continue
+        q = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        out.append(Instance(q, c, random_vector(rng, n, -4, 4), rng.randint(-3, 3)))
+    return out
+
+
+def every_corner_best(inst):
+    """Best candidate when every corner of every structure is scored,
+    repeats included; ties go to the smallest (x, y)."""
+    work = inst.integer
+    fact = work.factorization
+    scored = []
+    for structure in enumerate_dual_feasible_bases(fact.left, work.c):
+        for x in candidates_from_basis(structure):
+            y, value = best_y_for_x(inst, x)
+            scored.append((-value, x, y))
+    value, x, y = min(scored)
+    return Solution(x, y, -value)
+
+
+def test_each_distinct_candidate_is_scored_once(monkeypatch):
+    scored = Counter()
+    original = fixed_rank._completion
+
+    def counting(right, d, left, x):
+        scored[x] += 1
+        return original(right, d, left, x)
+
+    monkeypatch.setattr(fixed_rank, "_completion", counting)
+    repeats = 0
+    for inst in degenerate_instances(random.Random(67), 60):
+        scored.clear()
+        sol = solve_fixed_rank(inst)
+        work = inst.integer
+        corners = [
+            x
+            for structure in enumerate_dual_feasible_bases(work.factorization.left, work.c)
+            for x in candidates_from_basis(structure)
+        ]
+        repeats += len(corners) - len(set(corners))
+        assert set(scored) == set(corners)
+        assert set(scored.values()) == {1}
+        assert sol == every_corner_best(inst)
+        assert sol.value == exhaustive_best(inst)
+    assert repeats > 0
+
+
+# The six rankp instances of perfbench's combinatorial pool at seed 1, and
+# the solutions solve_fixed_rank gave when it scored every corner.
+COMBINATORIAL_RANKP = [
+    ("rank2", 16, 40, "1011100111000110", "1011101101010001011010011100011011111111", 4340),
+    ("rank2", 16, 40, "1101101011101101", "1101100000101110000011010010001001110100", 6442),
+    ("rank2", 16, 40, "1011001011011001", "0110100101111111000110001011110101111011", 5208),
+    ("rank3", 10, 15, "1110101010", "110001100100101", 1873),
+    ("rank3", 10, 15, "0100011000", "111101001010110", 1572),
+    ("rank3", 10, 15, "0001110110", "111111011001010", 1510),
+]
+
+
+def test_benchmark_rankp_solutions_are_unchanged():
+    rng = SplitMix64(1 * 1_000_003 + 2)
+    seeds = [rng.next_u64() for _ in range(9)][3:]
+    for seed, (kind, m, n, x, y, value) in zip(seeds, COMBINATORIAL_RANKP):
+        sol = solve_fixed_rank(generate_instance(kind, m, n, seed))
+        assert sol == Solution(tuple(map(int, x)), tuple(map(int, y)), Fraction(value))

@@ -45,6 +45,25 @@ def test_exact_number_grammar():
         parse_rational("1/0")
 
 
+@pytest.mark.parametrize("token", ["1_0", "+7", "-0", "\u0663", "1e3", "0x10", "00", "12/4", "3.0"])
+def test_integer_fast_path_accepts_what_fraction_accepts(token):
+    try:
+        expected = Fraction(token)
+    except ValueError:
+        with pytest.raises(ParseError):
+            parse_rational(token)
+        return
+    assert parse_rational(token) == expected
+
+
+def test_plain_integers_parse_as_ints():
+    tokens = ("+7", "-0", "00", "\u0663", "1e3", "3.0", "12/4")
+    assert [type(parse_rational(t)) for t in tokens] == [int] * 4 + [Fraction] * 3
+    inst = parse_instance(SAMPLE_TEXT.replace("0 2", "0 5/2"))
+    assert all(type(v) is int for row in inst.q for v in row + inst.c)
+    assert inst.d == (0, Fraction(5, 2)) and type(inst.d[1]) is Fraction
+
+
 def test_round_trip_is_stable():
     rng = random.Random(91)
     for _ in range(25):
