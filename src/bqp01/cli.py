@@ -45,6 +45,10 @@ def _emit(pairs: list[tuple[str, str]], fmt: str) -> None:
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
+    if args.dump_breakpoints:
+        # Built first, so a matrix of rank above one fails before any output.
+        work = cut_to_bqp01(inst) if isinstance(inst, CutInstance) else inst
+        form = RankOneForm.from_instance(work)
     report = dispatch_solve(
         inst,
         args.algorithm,
@@ -60,8 +64,6 @@ def _cmd_solve(args) -> int:
     _emit(pairs, args.format)
     sys.stdout.write(format_solution(report.solution))
     if args.dump_breakpoints:
-        work = cut_to_bqp01(inst) if isinstance(inst, CutInstance) else inst
-        form = RankOneForm.from_instance(work)
         for label, track in (
             ("concave-x", pkp_breakpoints(form)),
             ("convex-y", ulp_breakpoints(form)),
@@ -228,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         if exc.report is not None:
-            for key, value in exc.report.lines():
+            for key, value in exc.report.lines(bounded_rank=True):
                 print(f"  {key}={value}", file=sys.stderr)
         return 2
     except CrossValidationError as exc:

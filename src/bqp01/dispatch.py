@@ -68,7 +68,12 @@ class AnalysisReport:
     def eliminator(self) -> Eliminator:
         return min_negative_eliminator(self.work.q)
 
-    def lines(self) -> list[tuple[str, str]]:
+    def lines(self, *, bounded_rank: bool = False) -> list[tuple[str, str]]:
+        """(key, value) text pairs.
+
+        With ``bounded_rank``, a rank bounded only by an ``auto`` refusal's
+        stopped elimination prints as that bound, such as ``>6``.
+        """
         m, n = self.work.m, self.work.n
         rows, cols = self.eliminator.rows, self.eliminator.cols
         if self.transposed:
@@ -76,7 +81,7 @@ class AnalysisReport:
         return [
             ("m", str(m)),
             ("n", str(n)),
-            ("rank", str(self.rank)),
+            ("rank", self.work.rank_text if bounded_rank else str(self.rank)),
             ("additive", "yes" if self.additive else "no"),
             ("nonnegative", "yes" if self.nonnegative else "no"),
             ("eliminator-size", str(self.eliminator.size)),

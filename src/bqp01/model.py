@@ -138,13 +138,24 @@ class IntegerInstance(_Shape):
 
         The elimination stops once limit + 1 pivots prove the rank larger.
         One that finishes within the limit is the whole factorization, so
-        it is cached as ``factorization`` and no route eliminates twice.
+        it is cached as ``factorization`` and no route eliminates twice;
+        one that stops leaves ``rank_text`` reading ">limit".
         """
         fact = self.__dict__.get("factorization") or self._factorize(limit + 1)
+        if fact is None:
+            self.__dict__["_rank_above"] = limit
         if fact is None or fact.p > limit:
             return None
         self.__dict__["factorization"] = fact  # the cached_property's slot
         return fact.p
+
+    @property
+    def rank_text(self) -> str:
+        """rank(q), or ">k" when only a stopped elimination has proved rank > k."""
+        above = self.__dict__.get("_rank_above")
+        if above is None or "factorization" in self.__dict__:
+            return str(self.factorization.p)
+        return f">{above}"
 
     def _factorize(self, max_pivots: int | None):
         """The factorization, or None if ``max_pivots`` pivots stopped it."""

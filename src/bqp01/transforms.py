@@ -104,8 +104,8 @@ def qp01_to_bqp01(
     The QP01 objective is u^T Q' u + c'.u + c0' over binary u.  The returned
     instance uses Q = Q' + 2MI and c = d = c'/2 - M, so a mismatch x_i != y_i
     costs exactly -M and every optimal bipartite solution has x = y, with x
-    optimal for the QP01 at the same value.  ``m_penalty`` defaults to the
-    big-M bound of the source problem.
+    optimal for the QP01 at the same value.  ``m_penalty`` defaults to
+    :func:`big_m_bound` of the source problem.
     """
     qp = freeze_matrix(qp_matrix)
     cp = freeze_vector(qp_c)
@@ -116,12 +116,7 @@ def qp01_to_bqp01(
     if len(cp) != n:
         raise ValueError(f"c' has length {len(cp)}, expected {n}")
     if m_penalty is None:
-        m_val = Fraction(1) + abs(c0)
-        for row in qp:
-            for v in row:
-                m_val += abs(v)
-        for v in cp:
-            m_val += abs(v)
+        m_val = big_m_bound(Instance(qp, cp, None, c0))
     else:
         m_val = as_fraction(m_penalty)
     q = tuple(

@@ -6,6 +6,7 @@ import pytest
 
 from bqp01 import (
     Instance,
+    Solution,
     detect_additive,
     evaluate_objective,
     solve_additive,
@@ -113,3 +114,37 @@ def test_fractional_coefficients():
     assert dec is not None
     sol = solve_additive(inst)
     assert sol.value == exhaustive_best(inst)
+
+
+def tie_rule_reference(inst):
+    """The documented scan, written out: K = 0..n, then L = 0..m, stable
+    top-L / top-K selections, and the first strictly best pair kept."""
+    dec = detect_additive(inst.q)
+    a, b = dec.row_offsets, dec.col_offsets
+
+    def top(count, keys):
+        chosen = sorted(range(len(keys)), key=lambda i: -keys[i])[:count]
+        return tuple(int(i in chosen) for i in range(len(keys)))
+
+    best = None
+    for k in range(inst.n + 1):
+        for l in range(inst.m + 1):
+            x = top(l, [k * a[i] + inst.c[i] for i in range(inst.m)])
+            y = top(k, [l * b[j] + inst.d[j] for j in range(inst.n)])
+            value = evaluate_objective(inst, x, y)
+            if best is None or value > best.value:
+                best = Solution(x, y, value)
+    return best
+
+
+def test_tie_rule_matches_reference():
+    rng = random.Random(76)
+    for trial in range(300):
+        inst = random_additive_instance(rng, rng.randint(1, 4), rng.randint(1, 4), -2, 2)
+        if trial % 6 == 0:
+            inst = Instance(inst.q, None, inst.d, inst.c0)
+        elif trial % 6 == 3:
+            inst = Instance(inst.q, inst.c, None, inst.c0)
+        sol = solve_additive(inst)
+        assert sol == tie_rule_reference(inst)
+        assert sol.value == exhaustive_best(inst)

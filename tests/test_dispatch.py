@@ -235,6 +235,15 @@ def test_cli_solve_dump_breakpoints(instance_file, capsys):
     assert "-5 11" in out and "3/4 59/4" in out
 
 
+def test_cli_dump_breakpoints_refuses_rank_two_before_output(tmp_path, capsys):
+    path = tmp_path / "rank2.bqp"
+    path.write_text(format_instance(generate_instance("rank2", 4, 5, 1)), encoding="utf-8")
+    assert main(["solve", str(path), "--dump-breakpoints"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "matrix has rank 2, expected at most 1" in captured.err
+
+
 def test_cli_analyze(instance_file, capsys):
     assert main(["analyze", instance_file, "--format", "kv"]) == 0
     out = capsys.readouterr().out
@@ -380,6 +389,23 @@ def test_routes_eliminate_the_full_matrix_at_most_once(monkeypatch):
         # One elimination of the matrix, which finishes only when the rank
         # is within p_limit; rankp's small basis inverses are not counted.
         assert len(on_matrix) == 1 and on_matrix.count(True) == full_runs
+
+
+def test_cli_refusal_prints_rank_bound_without_full_elimination(tmp_path, monkeypatch, capsys):
+    full = []
+    original = bqp01.analysis.bareiss
+
+    def recording(matrix, max_pivots=None):
+        full.append(max_pivots is None)
+        return original(matrix, max_pivots)
+
+    monkeypatch.setattr(bqp01.analysis, "bareiss", recording)
+    path = tmp_path / "general.bqp"
+    path.write_text(format_instance(generate_instance("general", 40, 40, 1)), encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "  rank=>6\n" in err
+    assert full == [False]
 
 
 # The README's solver table, in auto's order: the first rule that holds
