@@ -14,7 +14,6 @@ from .analysis import (
     RankFactorization,
     detect_additive,
     detect_nonnegative,
-    maximum_bipartite_matching,
     min_negative_eliminator,
     rank_factorize,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "format_solution",
     "generate_instance",
     "max_flow",
-    "maximum_bipartite_matching",
     "min_negative_eliminator",
     "mwbp_to_bqp01",
     "normalize_orientation",

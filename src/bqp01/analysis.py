@@ -4,9 +4,9 @@ Four independent detectors drive solver selection: exact rank factorization
 by fraction-free Gauss-Jordan elimination (Bareiss), additive
 decomposability q_ij = a_i + b_j, entrywise nonnegativity, and the minimum
 set of rows/columns whose deletion removes all negative entries (a minimum
-vertex cover of the negativity graph, via maximum bipartite matching and
-the alternating-reachability cover construction).  The detectors take a
-matrix of exact rationals as it is; dispatch passes them ints.
+vertex cover of the negativity graph, read off a minimum cut of its unit
+flow network on the shared Dinic core of ``mincut``).  The detectors take
+a matrix of exact rationals as it is; dispatch passes them ints.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Eliminator:
     """Rows and columns whose deletion leaves the matrix nonnegative.
 
     Produced minimum-size: len(rows) + len(cols) equals the maximum
-    matching size of the bipartite negativity graph.
+    matching size of the bipartite negativity graph (König's theorem).
     """
 
     rows: tuple[int, ...]
@@ -155,79 +155,33 @@ def detect_nonnegative(matrix: Sequence[Sequence]) -> bool:
     return all(v >= 0 for row in matrix for v in row)
 
 
-def maximum_bipartite_matching(
-    left_count: int, right_count: int, adjacency: Sequence[Sequence[int]]
-) -> tuple[int, list[int], list[int]]:
-    """Maximum matching by augmenting paths.
-
-    ``adjacency[i]`` lists right neighbors of left vertex i.  Returns
-    (size, match_of_left, match_of_right) with -1 for unmatched vertices.
-    O(V * E), ample at the scales this package targets.
-    """
-    match_left = [-1] * left_count
-    match_right = [-1] * right_count
-
-    def try_augment(root: int, seen: list[bool]) -> bool:
-        # Depth-first search with an explicit stack, so path length is not
-        # bounded by the recursion limit: stack[k] holds a left vertex and
-        # its unvisited neighbours, path[k] the right vertex leading from
-        # stack[k] to stack[k + 1] (or to a free vertex).
-        stack = [(root, iter(adjacency[root]))]
-        path: list[int] = []
-        while stack:
-            j = next((j for j in stack[-1][1] if not seen[j]), None)
-            if j is None:
-                stack.pop()
-                if stack:
-                    path.pop()
-                continue
-            seen[j] = True
-            path.append(j)
-            if match_right[j] == -1:
-                for (i, _), j in zip(stack, path):
-                    match_left[i] = j
-                    match_right[j] = i
-                return True
-            stack.append((match_right[j], iter(adjacency[match_right[j]])))
-        return False
-
-    size = 0
-    for i in range(left_count):
-        if try_augment(i, [False] * right_count):
-            size += 1
-    return size, match_left, match_right
-
-
 def min_negative_eliminator(matrix: Sequence[Sequence]) -> Eliminator:
     """Minimum row/column set covering all negative entries.
 
-    Builds the bipartite graph with an edge (i, j) per negative q_ij,
-    computes a maximum matching, and extracts the vertex cover from
-    alternating reachability: with Z the set reachable from unmatched left
-    vertices (non-matching edges left-to-right, matching edges
-    right-to-left), the cover is (L minus Z) union (R intersect Z).
+    By König's theorem this minimum vertex cover of the negativity graph is
+    a minimum cut of the unit network source -> row i -> column j -> sink,
+    with one row-column arc per negative q_ij.  Dinic finds the maximum
+    flow in O(E sqrt(V)) on such a network (Even and Tarjan, SIAM J.
+    Comput. 4, 1975), and its last BFS gives the cover: the rows the source
+    cannot reach and the columns it can.  The source reaches exactly the
+    nodes on alternating paths from unmatched rows, a set that is the same
+    for every maximum matching, so the cover does not depend on which one
+    the flow finds.
     """
+    from .mincut import _FlowGraph  # mincut imports analysis
+
     m, n = len(matrix), len(matrix[0])
-    adjacency = [[j for j, v in enumerate(row) if v < 0] for row in matrix]
-    size, match_left, match_right = maximum_bipartite_matching(m, n, adjacency)
-
-    left_in_z = [match_left[i] == -1 for i in range(m)]
-    right_in_z = [False] * n
-    queue = [i for i in range(m) if left_in_z[i]]
-    while queue:
-        i = queue.pop()
-        for j in adjacency[i]:
-            if match_left[i] == j or right_in_z[j]:
-                continue
-            right_in_z[j] = True
-            i2 = match_right[j]
-            if i2 != -1 and not left_in_z[i2]:
-                left_in_z[i2] = True
-                queue.append(i2)
-
-    rows = tuple(i for i in range(m) if not left_in_z[i])
-    cols = tuple(j for j in range(n) if right_in_z[j])
-    elim = Eliminator(rows, cols)
+    arcs = [(0, 2 + i, 1) for i in range(m)] + [(2 + m + j, 1, 1) for j in range(n)]
+    arcs += [
+        (2 + i, 2 + m + j, 1) for i, row in enumerate(matrix) for j, v in enumerate(row) if v < 0
+    ]
+    graph = _FlowGraph(2 + m + n, 0, 1, arcs)
+    size = graph.augment()
+    level = graph.level
+    elim = Eliminator(
+        tuple(i for i in range(m) if level[2 + i] < 0),
+        tuple(j for j in range(n) if level[2 + m + j] >= 0),
+    )
     if elim.size != size:
-        raise AssertionError("vertex cover size disagrees with matching size")
+        raise AssertionError("vertex cover size disagrees with flow value")
     return elim

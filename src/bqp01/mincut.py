@@ -27,7 +27,8 @@ is the from-scratch form of one fixing.
 
 The solvers build their networks from ``Instance.integer``, so every
 capacity is an int; :func:`max_flow` is the rational interface.  All of
-them run one Dinic core on one paired-arc layout (``_FlowGraph``).
+them, and ``analysis.min_negative_eliminator``, run one Dinic core on one
+paired-arc layout (``_FlowGraph``).
 """
 
 from __future__ import annotations

@@ -54,5 +54,27 @@ def random_rank_one_instance(rng, m, n, lo=-6, hi=6):
     )
 
 
+def negativity_graph(q):
+    """networkx graph of q's negative entries: row i is node i, column j is
+    node m + j, and each q_ij < 0 is an edge.  Returns (graph, row nodes)."""
+    import networkx as nx
+
+    m = len(q)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(m + len(q[0])))
+    graph.add_edges_from(
+        (i, m + j) for i, row in enumerate(q) for j, v in enumerate(row) if v < 0
+    )
+    return graph, range(m)
+
+
+def matching_size(q) -> int:
+    """Maximum matching size of q's negativity graph, by networkx."""
+    import networkx as nx
+
+    graph, rows = negativity_graph(q)
+    return len(nx.bipartite.hopcroft_karp_matching(graph, top_nodes=rows)) // 2
+
+
 def random_fraction(rng, denom_max=4, num_max=8):
     return Fraction(rng.randint(-num_max, num_max), rng.randint(1, denom_max))

@@ -29,7 +29,6 @@ from bqp01 import (
     evaluate_cut_objective,
     evaluate_objective,
     generate_instance,
-    maximum_bipartite_matching,
     min_negative_eliminator,
     mwbp_to_bqp01,
     pkp_breakpoints,
@@ -49,7 +48,7 @@ from bqp01 import (
 )
 from bqp01.fixtures import sample_rank_one
 
-from conftest import exhaustive_best
+from conftest import exhaustive_best, matching_size
 
 
 def report(criterion: int, message: str) -> None:
@@ -406,9 +405,7 @@ def test_criterion_7_cover_size_equals_matching_size():
         for _ in range(rng.randint(0, m * n // 2)):
             q[rng.randrange(m)][rng.randrange(n)] = rng.randint(-6, -1)
         elim = min_negative_eliminator(q)
-        adjacency = [[j for j in range(n) if q[i][j] < 0] for i in range(m)]
-        size, _, _ = maximum_bipartite_matching(m, n, adjacency)
-        assert elim.size == size
+        assert elim.size == matching_size(q)
         for i in range(m):
             for j in range(n):
                 if q[i][j] < 0:

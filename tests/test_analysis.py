@@ -8,14 +8,13 @@ from bqp01 import (
     Instance,
     detect_additive,
     detect_nonnegative,
-    maximum_bipartite_matching,
     min_negative_eliminator,
     rank_factorize,
 )
 from bqp01.analysis import bareiss
 from bqp01.fixtures import sample_additive, sample_nonnegative, sample_rank_one
 
-from conftest import random_fraction, random_matrix
+from conftest import matching_size, negativity_graph, random_fraction, random_matrix
 
 
 def multiply(left, right, m, n):
@@ -256,55 +255,50 @@ def test_eliminator_size_equals_matching_size():
         q = random_matrix(rng, m, n, 0, 4)
         for _ in range(rng.randint(0, 6)):
             q[rng.randrange(m)][rng.randrange(n)] = -1
-        adjacency = [[j for j in range(n) if q[i][j] < 0] for i in range(m)]
-        size, _, _ = maximum_bipartite_matching(m, n, adjacency)
-        assert min_negative_eliminator(q).size == size
+        assert min_negative_eliminator(q).size == matching_size(q)
 
 
-def test_matching_on_complete_graph():
-    size, ml, mr = maximum_bipartite_matching(3, 2, [[0, 1]] * 3)
-    assert size == 2
-    assert sorted(j for j in ml if j != -1) == [0, 1]
-    assert all(mr[j] != -1 for j in range(2))
-
-
-def recursive_matching(left_count, right_count, adjacency):
-    """Depth-first augmenting paths by recursion, the reference visit order."""
-    match_left, match_right = [-1] * left_count, [-1] * right_count
-
-    def augment(i, seen):
-        for j in adjacency[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] == -1 or augment(match_right[j], seen):
-                    match_left[i], match_right[j] = j, i
-                    return True
-        return False
-
-    size = sum(augment(i, [False] * right_count) for i in range(left_count))
-    return size, match_left, match_right
-
-
-def test_matching_follows_depth_first_visit_order():
-    rng = random.Random(3004)
-    for _ in range(200):
-        m, n = rng.randint(1, 8), rng.randint(1, 8)
-        adjacency = [rng.sample(range(n), rng.randint(0, n)) for _ in range(m)]
-        expected = recursive_matching(m, n, adjacency)
-        assert maximum_bipartite_matching(m, n, adjacency) == expected
-
-
-def test_matching_survives_paths_deeper_than_the_recursion_limit():
+def test_eliminator_is_the_konig_cover_of_networkx():
     import networkx as nx
 
+    rng = random.Random(36)
+    seen = dict.fromkeys(("tall", "all-negative", "no-negative", "isolated"), 0)
+    for _ in range(2400):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice((0.0, 0.1, 0.25, 0.5, 0.8, 1.0))
+        q = [[-1 if rng.random() < density else rng.randint(0, 3) for _ in range(n)]
+             for _ in range(m)]
+        if rng.random() < 0.3:
+            q[rng.randrange(m)] = [rng.randint(0, 3) for _ in range(n)]
+            j = rng.randrange(n)
+            for row in q:
+                row[j] = abs(row[j])
+        negative = [[v < 0 for v in row] for row in q]
+        seen["tall"] += m > n
+        seen["all-negative"] += all(map(all, negative))
+        seen["no-negative"] += not any(map(any, negative))
+        seen["isolated"] += (
+            any(map(any, negative)) and not all(map(any, negative))
+            and not all(map(any, zip(*negative)))
+        )
+        graph, rows = negativity_graph(q)
+        matching = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=rows)
+        cover = nx.bipartite.to_vertex_cover(graph, matching, top_nodes=rows)
+        elim = min_negative_eliminator(q)
+        assert elim.rows == tuple(sorted(v for v in cover if v < m))
+        assert elim.cols == tuple(sorted(v - m for v in cover if v >= m))
+    assert min(seen.values()) >= 100, seen
+
+
+def test_eliminator_survives_paths_deeper_than_the_recursion_limit():
     rng = random.Random(3003)
-    adjacency = [rng.sample(range(3000), 3) for _ in range(3000)]
-    size, match_left, match_right = maximum_bipartite_matching(3000, 3000, adjacency)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(6000))
-    graph.add_edges_from((i, 3000 + j) for i, row in enumerate(adjacency) for j in row)
-    reference = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=range(3000))
-    assert size == len(reference) // 2
-    assert size == sum(j != -1 for j in match_left)
-    for i, j in enumerate(match_left):
-        assert j == -1 or (match_right[j] == i and j in adjacency[i])
+    q = [[0] * 3000 for _ in range(3000)]
+    for row in q:
+        for j in rng.sample(range(3000), 3):
+            row[j] = -1
+    elim = min_negative_eliminator(q)
+    assert elim.size == matching_size(q)
+    rows, cols = set(elim.rows), set(elim.cols)
+    assert all(
+        i in rows or j in cols for i, row in enumerate(q) for j, v in enumerate(row) if v < 0
+    )

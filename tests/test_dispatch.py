@@ -140,6 +140,12 @@ def test_refusal_carries_analysis_report():
         assert "--" + setting.replace("_", "-") in str(err.value)
 
 
+def test_bounded_rank_lines_print_the_exact_rank_without_a_stopped_elimination():
+    report = analyze(generate_instance("general", 8, 9, 4))
+    assert dict(report.lines(bounded_rank=True))["rank"] == "8"
+    assert report.lines(bounded_rank=True) == report.lines()
+
+
 def test_analyze_reports_all_detectors():
     report = analyze(sample_rank_one())
     pairs = dict(report.lines())
@@ -291,6 +297,20 @@ def test_cli_bench(instance_file, capsys):
     assert out.count("56") >= 3
 
 
+def test_cli_bench_kv_format(instance_file, capsys):
+    assert main(["bench", instance_file, "--algorithms", "oracle,rank1", "--format", "kv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" time=", 1)[0] for line in lines] == [
+        f"instance={instance_file} algorithm={name} value=56" for name in ("oracle", "rank1")
+    ]
+
+
+def test_cli_bench_unknown_algorithm_exit_code(instance_file, capsys):
+    assert main(["bench", instance_file, "--algorithms", "oracle,nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown algorithm 'nope'" in captured.err
+
+
 def test_cli_bench_disagreement_exit_code(instance_file, capsys, monkeypatch):
     def fake(instances, algorithms, **kw):
         raise CrossValidationError("solvers disagree on demo")
@@ -321,6 +341,17 @@ def test_cli_transform_qp01(instance_file, capsys):
     assert main(["transform", instance_file, "--to", "qp01"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "qp01" and lines[1] == "12"
+
+
+@pytest.mark.parametrize("target", ["homogeneous", "qp01"])
+def test_cli_transform_of_a_cut_file_needs_bqp01(target, instance_file, capsys, tmp_path):
+    assert main(["transform", instance_file, "--to", "cut"]) == 0
+    cut = tmp_path / "cut.bqp"
+    cut.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["transform", str(cut), "--to", target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{target} transform expects a bqp01 instance" in captured.err
 
 
 def test_cli_solve_stdin(monkeypatch, capsys):

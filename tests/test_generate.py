@@ -40,6 +40,7 @@ def test_rank_kind_has_exact_rank():
         assert rank_factorize(inst.q).p == 2
         inst = generate_instance("rank3", 5, 4, seed)
         assert rank_factorize(inst.q).p == 3
+    assert generate_instance("rank0", 3, 4, 5).q == ((0,) * 4,) * 3
 
 
 def test_rank_kind_rejects_impossible_rank():

@@ -103,6 +103,8 @@ def test_bad_dimensions():
         parse_instance("bqp01\n0 2\n0\n\n1 1\n")
     with pytest.raises(ParseError, match="2 value"):
         parse_instance("bqp01\n3\n0\n1 1 1\n1\n1\n1\n1\n")
+    with pytest.raises(ParseError, match="line 2: bad dimensions"):
+        parse_instance("bqp01\n1 x\n0\n1\n1\n1\n")
 
 
 def test_trailing_content_rejected():
