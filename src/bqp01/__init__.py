@@ -63,7 +63,13 @@ from .rank_one import (
     solve_rank_one,
     ulp_breakpoints,
 )
-from .textio import format_instance, format_solution, parse_instance, parse_rational
+from .textio import (
+    format_instance,
+    format_solution,
+    parse_instance,
+    parse_integer_instance,
+    parse_rational,
+)
 from .transforms import (
     big_m_bound,
     bmaxcut_to_bqp11h,
@@ -127,6 +133,7 @@ __all__ = [
     "mwbp_to_bqp01",
     "normalize_orientation",
     "parse_instance",
+    "parse_integer_instance",
     "parse_rational",
     "pkp_breakpoints",
     "qp01_to_bqp01",

@@ -22,15 +22,17 @@ from .generate import generate_instance
 from .mincut import DEFAULT_ELIMINATOR_LIMIT
 from .model import CutInstance, Instance
 from .rank_one import RankOneForm, pkp_breakpoints, ulp_breakpoints
-from .textio import format_instance, format_solution, parse_instance
+from .textio import format_instance, format_solution, parse_instance, parse_integer_instance
 from .transforms import bqp01_to_cut, bqp01_to_qp01, cut_to_bqp01, to_homogeneous
 
 
-def _read_instance(path: str) -> Instance | CutInstance:
+def _read_instance(path: str, parse):
+    """The file (stdin for '-') read by ``parse``: ``parse_integer_instance``
+    for the solvers, ``parse_instance`` where rationals are printed."""
     if path == "-":
-        return parse_instance(sys.stdin.read())
+        return parse(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+        return parse(handle.read())
 
 
 def _emit(pairs: list[tuple[str, str]], fmt: str) -> None:
@@ -44,7 +46,9 @@ def _emit(pairs: list[tuple[str, str]], fmt: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    inst = _read_instance(args.instance)
+    # The breakpoint tables print the rank-one form of the rational instance.
+    parse = parse_instance if args.dump_breakpoints else parse_integer_instance
+    inst = _read_instance(args.instance, parse)
     if args.dump_breakpoints:
         # Built first, so a matrix of rank above one fails before any output.
         work = cut_to_bqp01(inst) if isinstance(inst, CutInstance) else inst
@@ -75,13 +79,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    inst = _read_instance(args.instance)
+    inst = _read_instance(args.instance, parse_integer_instance)
     _emit(analyze(inst).lines(), args.format)
     return 0
 
 
 def _cmd_transform(args) -> int:
-    inst = _read_instance(args.instance)
+    inst = _read_instance(args.instance, parse_instance)
     if args.to == "homogeneous":
         if not isinstance(inst, Instance):
             raise ValueError("homogeneous transform expects a bqp01 instance")
@@ -124,7 +128,7 @@ def _cmd_bench(args) -> int:
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-    instances = [(path, _read_instance(path)) for path in args.instances]
+    instances = [(path, _read_instance(path, parse_integer_instance)) for path in args.instances]
     rows = bench(
         instances,
         algorithms,

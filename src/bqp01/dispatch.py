@@ -100,14 +100,16 @@ class SolveReport:
     wall_time: float
 
 
-def analyze(inst: Instance | CutInstance) -> AnalysisReport:
+def analyze(inst: Instance | CutInstance | IntegerInstance) -> AnalysisReport:
     """The lazy structure report that ``dispatch_solve`` routes the instance on."""
-    is_cut = isinstance(inst, CutInstance)
-    return AnalysisReport(*normalize_orientation((cut_to_bqp01(inst) if is_cut else inst).integer))
+    work = inst.integer
+    if work.cut:
+        work = cut_to_bqp01(work)
+    return AnalysisReport(*normalize_orientation(work))
 
 
 def dispatch_solve(
-    inst: Instance | CutInstance,
+    inst: Instance | CutInstance | IntegerInstance,
     algorithm: str = "auto",
     *,
     p_limit: int = fixed_rank.DEFAULT_P_LIMIT,
@@ -116,8 +118,9 @@ def dispatch_solve(
 ) -> SolveReport:
     """Solve with the named algorithm, or pick one automatically.
 
-    Cut-form instances are converted to 0-1 form, solved, and mapped back
-    to signs at the same objective value.  Solvers run on the integer
+    Cut-form instances (a CutInstance, or an IntegerInstance with ``cut``
+    set) are converted to 0-1 form on ints, solved, and mapped back to
+    signs at the same objective value.  Solvers run on the integer
     form, oriented so the enumerated/parameterized side is the shorter one;
     solutions are reported in the original orientation.  ``auto`` tries,
     in order: nonnegative -> mincut, additive -> additive, rank <= 1 ->
@@ -145,7 +148,7 @@ def dispatch_solve(
         )
     if found.transposed:
         x, y = y, x
-    if isinstance(inst, CutInstance):
+    if inst.integer.cut:
         x = tuple(2 * v - 1 for v in x)
         y = tuple(2 * v - 1 for v in y)
     return SolveReport(
@@ -222,7 +225,7 @@ class BenchRow:
 
 
 def bench(
-    instances: list[tuple[str, Instance | CutInstance]],
+    instances: list[tuple[str, Instance | CutInstance | IntegerInstance]],
     algorithms: list[str],
     **limits,
 ) -> list[BenchRow]:

@@ -16,7 +16,9 @@ Solvers and detectors run on plain ints.  ``clear_denominators`` is the
 one scaling step: ``Instance.integer`` applies it once per instance, giving
 an :class:`IntegerInstance` whose objective is the original times a
 positive ``scale``.  That keeps every argmax and tie, so solvers compare
-ints and divide by ``scale`` only in ``Solution.value``.
+ints and divide by ``scale`` only in ``Solution.value``.  The command line
+reads files straight into this form (``textio.parse_integer_instance``,
+the same least common denominator without a Fraction per coefficient).
 """
 
 from __future__ import annotations
@@ -116,6 +118,11 @@ class IntegerInstance(_Shape):
     Every coefficient is a Python int, so the original objective value at
     a point is ``Fraction(self.objective(x, y), self.scale)``.  Solvers
     accept this form wherever they accept an :class:`Instance`.
+
+    ``cut`` marks the coefficients of the {-1,+1} cut form
+    (``CutInstance.integer``, or ``parse_integer_instance`` of a bqp11
+    file).  Solvers read every instance as 0-1, so ``dispatch`` first
+    converts a cut one with ``cut_to_bqp01``, on ints at the same scale.
     """
 
     q: tuple[tuple[int, ...], ...]
@@ -123,6 +130,7 @@ class IntegerInstance(_Shape):
     d: tuple[int, ...]
     c0: int
     scale: int
+    cut: bool = False
 
     @property
     def integer(self) -> "IntegerInstance":
@@ -176,7 +184,7 @@ def _integer_instance(obj) -> IntegerInstance:
     ints, scale = clear_denominators((*obj.q, obj.c, obj.d, (obj.c0,)))
     (c0,) = ints.pop()
     d, c = ints.pop(), ints.pop()
-    return IntegerInstance(tuple(ints), c, d, c0, scale)
+    return IntegerInstance(tuple(ints), c, d, c0, scale, isinstance(obj, CutInstance))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ exact: optional sign, integer, decimal like -2.5, or rational like 7/3):
     q_11 ... q_1n   <- m rows of Q follow
     ...
 
+Two readers share one tokenizer, which turns plain integers, ``p/q`` and
+plain decimals into (num, den) pairs by hand and leaves any other token to
+``Fraction``.  ``parse_instance`` builds the public rational
+:class:`Instance` or :class:`CutInstance`.  ``parse_integer_instance``,
+which the command line solves on, builds the same instance's exact
+:class:`IntegerInstance` without a Fraction per coefficient.  Both convert
+a row of plain integers with one ``map(int, ...)``.
+
 Solutions render as three lines: value (exact and decimal), then the x and
 y assignments as bit strings ('+'/'-' for cut solutions).
 """
@@ -18,10 +26,43 @@ y assignments as bit strings ('+'/'-' for cut solutions).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import floordiv, mul
 from typing import Sequence
 
 from .errors import ParseError
-from .model import CutInstance, Instance, Solution
+from .model import CutInstance, Instance, IntegerInstance, Solution
+
+
+def _ratio(token: str, line: int | None = None) -> tuple[int, int]:
+    """(num, den) with den > 0 and num/den == Fraction(token), not reduced.
+
+    Plain integers, ``p/q`` and plain decimals are split by hand.  Every
+    other token, and every token holding '_' (before Python 3.11
+    ``Fraction`` rejects underscores), goes to ``Fraction``, so the grammar
+    and the error text are ``Fraction``'s on every Python version.
+    """
+    if "_" not in token:
+        # text[text[:1] in "+-":] drops one leading sign.
+        num, slash, den = token.partition("/")
+        if slash:
+            if num[num[:1] in "+-" :].isdecimal() and den.isdecimal() and (d := int(den)):
+                return int(num), d
+        elif "." in token:
+            whole, _, frac = token.partition(".")
+            if (whole[whole[:1] in "+-" :] + frac).isdecimal():
+                return int(whole + frac), 10 ** len(frac)
+        else:
+            try:
+                return int(token), 1
+            except ValueError:
+                pass
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad number {token!r} ({exc})", line) from None
+    return value.numerator, value.denominator
 
 
 def parse_rational(token: str, line: int | None = None) -> int | Fraction:
@@ -37,48 +78,66 @@ def parse_rational(token: str, line: int | None = None) -> int | Fraction:
             return int(token)
         except ValueError:
             pass
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad number {token!r} ({exc})", line) from None
+    return Fraction(*_ratio(token, line))
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str]]]:
+def _rational_row(tokens: list[str], line: int, body: str) -> list[int | Fraction]:
+    """``parse_rational`` of each token; one ``map(int, ...)`` for an all-int row."""
+    if "_" not in body:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return [parse_rational(t, line) for t in tokens]
+
+
+def _integer_row(tokens: list[str], line: int, body: str):
+    """(numerators, denominators) of the tokens; denominators None for an all-int row."""
+    if "_" not in body:
+        try:
+            return tuple(map(int, tokens)), None
+        except ValueError:
+            pass
+    nums, dens = zip(*[_ratio(t, line) for t in tokens])
+    return nums, dens
+
+
+def _content_lines(text: str) -> list[tuple[list[str], int, str]]:
+    """(tokens, line number, text before any '#') of each line holding a token."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         tokens = body.split()
         if tokens:
-            out.append((lineno, tokens))
+            out.append((tokens, lineno, body))
     return out
 
 
-def parse_instance(text: str) -> Instance | CutInstance:
-    """Parse instance text; returns a CutInstance for the bqp11 header."""
+def _read(text: str, convert) -> tuple[str, list]:
+    """The header, then ``convert(tokens, line, body)`` of the c0, c, d and
+    Q rows in file order, each row checked for its count before converting."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty input")
     pos = 0
 
-    def take(expected: int, what: str) -> tuple[int, list[str]]:
+    def take(expected: int, what: str) -> tuple[list[str], int, str]:
         nonlocal pos
         if pos >= len(lines):
-            last = lines[-1][0] if lines else None
-            raise ParseError(f"unexpected end of input, expected {what}", last)
-        lineno, tokens = lines[pos]
+            raise ParseError(f"unexpected end of input, expected {what}", lines[-1][1])
+        tokens, lineno, body = lines[pos]
         pos += 1
         if len(tokens) != expected:
             raise ParseError(
                 f"expected {expected} value(s) for {what}, got {len(tokens)}", lineno
             )
-        return lineno, tokens
+        return tokens, lineno, body
 
-    lineno, tokens = take(1, "format header")
-    header = tokens[0]
+    (header,), lineno, _ = take(1, "format header")
     if header not in ("bqp01", "bqp11"):
         raise ParseError(f"unknown format {header!r}, expected bqp01 or bqp11", lineno)
 
-    lineno, tokens = take(2, "dimensions 'm n'")
+    tokens, lineno, _ = take(2, "dimensions 'm n'")
     try:
         m, n = int(tokens[0]), int(tokens[1])
     except ValueError:
@@ -86,21 +145,47 @@ def parse_instance(text: str) -> Instance | CutInstance:
     if m < 1 or n < 1:
         raise ParseError(f"dimensions must be positive, got {m} x {n}", lineno)
 
-    lineno, tokens = take(1, "constant c0")
-    c0 = parse_rational(tokens[0], lineno)
-    lineno, tokens = take(m, "vector c")
-    c = [parse_rational(t, lineno) for t in tokens]
-    lineno, tokens = take(n, "vector d")
-    d = [parse_rational(t, lineno) for t in tokens]
-    q = []
-    for i in range(m):
-        lineno, tokens = take(n, f"row {i + 1} of Q")
-        q.append([parse_rational(t, lineno) for t in tokens])
+    shapes = [(1, "constant c0"), (m, "vector c"), (n, "vector d")]
+    shapes += [(n, f"row {i + 1} of Q") for i in range(m)]
+    rows = [convert(*take(count, what)) for count, what in shapes]
     if pos < len(lines):
-        raise ParseError("trailing content after the matrix", lines[pos][0])
+        raise ParseError("trailing content after the matrix", lines[pos][1])
+    return header, rows
 
+
+def parse_instance(text: str) -> Instance | CutInstance:
+    """Parse instance text; returns a CutInstance for the bqp11 header."""
+    header, ((c0,), c, d, *q) = _read(text, _rational_row)
     cls = Instance if header == "bqp01" else CutInstance
     return cls(q, c, d, c0)
+
+
+def parse_integer_instance(text: str) -> IntegerInstance:
+    """Parse instance text straight into its exact integer form.
+
+    Equals ``parse_instance(text).integer``, with ``cut`` set for the bqp11
+    header, but builds no Fraction per coefficient: each token becomes a
+    (num, den) pair, the values are scaled by the lcm S of the raw
+    denominators, and S and the values are divided by their gcd, which
+    leaves S at the least common denominator.  A file of plain integers
+    keeps its rows at scale 1.
+    """
+    header, rows = _read(text, _integer_row)
+    dens = {den for _, row_dens in rows if row_dens for den in row_dens}
+    ints = [nums for nums, _ in rows]
+    scale = lcm(*dens)
+    if scale > 1:
+        factor = {den: scale // den for den in dens}.__getitem__
+        ints = [
+            tuple(map(mul, nums, repeat(scale) if row_dens is None else map(factor, row_dens)))
+            for nums, row_dens in rows
+        ]
+        common = gcd(scale, *chain.from_iterable(ints))
+        if common > 1:
+            scale //= common
+            ints = [tuple(map(floordiv, row, repeat(common))) for row in ints]
+    (c0,), c, d, *q = ints
+    return IntegerInstance(tuple(q), c, d, c0, scale, header == "bqp11")
 
 
 def format_instance(inst: Instance | CutInstance) -> str:

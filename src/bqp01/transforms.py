@@ -14,6 +14,7 @@ from .model import (
     BipartiteWeightedGraph,
     CutInstance,
     Instance,
+    IntegerInstance,
     as_fraction,
     freeze_matrix,
     freeze_vector,
@@ -78,21 +79,24 @@ def bqp01_to_cut(inst: Instance) -> CutInstance:
     return CutInstance(q, c, d, c0)
 
 
-def cut_to_bqp01(cut: CutInstance) -> Instance:
+def cut_to_bqp01(cut: CutInstance | IntegerInstance) -> Instance | IntegerInstance:
     """Rewrite a {-1,+1} instance over binary variables.
 
     The tilde coefficients q~ = 4q, c~_i = 2(c_i - sum_j q_ij),
     d~_j = 2(d_j - sum_i q_ij), c~0 = sum q - sum c - sum d + c0 satisfy
     f(w, z) = cut(2w - 1, 2z - 1) for every binary (w, z).  Inverse of
-    :func:`bqp01_to_cut`.
+    :func:`bqp01_to_cut`.  The cut form's integer form (``cut.integer``)
+    gives the 0-1 ``IntegerInstance`` at its own scale, by the same
+    arithmetic on ints.
     """
-    m, n = cut.m, cut.n
     row_sums = [sum(row) for row in cut.q]
-    col_sums = [sum(cut.q[i][j] for i in range(m)) for j in range(n)]
+    col_sums = [sum(col) for col in zip(*cut.q)]
     q = tuple(tuple(4 * v for v in row) for row in cut.q)
-    c = tuple(2 * (cut.c[i] - row_sums[i]) for i in range(m))
-    d = tuple(2 * (cut.d[j] - col_sums[j]) for j in range(n))
+    c = tuple(2 * (ci - s) for ci, s in zip(cut.c, row_sums))
+    d = tuple(2 * (dj - s) for dj, s in zip(cut.d, col_sums))
     c0 = sum(row_sums) - sum(cut.c) - sum(cut.d) + cut.c0
+    if isinstance(cut, IntegerInstance):
+        return IntegerInstance(q, c, d, c0, cut.scale)
     return Instance(q, c, d, c0)
 
 

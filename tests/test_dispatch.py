@@ -6,10 +6,12 @@ from itertools import product
 import pytest
 
 import bqp01.analysis
+import bqp01.cli
 import bqp01.dispatch
 import bqp01.enumeration
 import bqp01.fixed_rank
 from bqp01 import (
+    ALGORITHMS,
     CrossValidationError,
     CutInstance,
     Instance,
@@ -29,7 +31,7 @@ from bqp01.fixtures import (
     sample_nonnegative,
     sample_rank_one,
 )
-from bqp01.textio import format_instance
+from bqp01.textio import format_instance, parse_instance
 from bqp01.transforms import cut_to_bqp01
 
 from conftest import exhaustive_best, random_instance
@@ -497,3 +499,103 @@ def test_cut_form_analysis_equals_its_binary_rewrite():
             rng.randint(-3, 3),
         )
         assert analyze(cut).lines() == analyze(cut_to_bqp01(cut)).lines()
+
+
+# --- cut form on ints, and the integer reader --------------------------------
+
+
+def _quartered_cut(rng, kind, m, n):
+    """A cut instance of ``kind`` with q in quarters: its 0-1 form 4q has a
+    smaller common denominator than the cut form itself."""
+
+    def quarter(lo, hi):
+        return Fraction(rng.randint(lo, hi), 4)
+
+    if kind == "nonnegative":
+        q = [[quarter(0, 9) for _ in range(n)] for _ in range(m)]
+    elif kind == "sparse-negative":
+        q = [[quarter(0, 9) for _ in range(n)] for _ in range(m)]
+        for _ in range(2):
+            q[rng.randrange(m)][rng.randrange(n)] = quarter(-9, -1)
+    elif kind == "additive":
+        a, b = [quarter(-9, 9) for _ in range(m)], [quarter(-9, 9) for _ in range(n)]
+        q = [[ai + bj for bj in b] for ai in a]
+    elif kind.startswith("rank"):
+        q = [[0] * n for _ in range(m)]
+        for _ in range(int(kind[4:])):
+            a, b = [rng.randint(-3, 3) for _ in range(m)], [quarter(-5, 5) for _ in range(n)]
+            q = [[v + ai * bj for v, bj in zip(row, b)] for row, ai in zip(q, a)]
+    else:
+        q = [[quarter(-9, 9) for _ in range(n)] for _ in range(m)]
+    return CutInstance(
+        q,
+        [Fraction(rng.randint(-9, 9), 2) for _ in range(m)],
+        [Fraction(rng.randint(-9, 9), 2) for _ in range(n)],
+        quarter(-9, 9),
+    )
+
+
+def _outcome(inst, algorithm, signs):
+    """(solution in signs, algorithm, detected), or the exception's type and text."""
+    try:
+        report = dispatch_solve(inst, algorithm)
+    except (ValueError, SolverRefusal) as exc:
+        return type(exc), str(exc)
+    x, y = report.solution.x, report.solution.y
+    if signs:
+        x, y = tuple(2 * v - 1 for v in x), tuple(2 * v - 1 for v in y)
+    return Solution(x, y, report.solution.value), report.algorithm, report.detected
+
+
+def test_cut_form_solves_equal_its_binary_rewrite_on_every_route():
+    rng = random.Random(1103)
+    larger_scale = 0
+    for kind in ("nonnegative", "sparse-negative", "additive", "rank1", "rank2", "general"):
+        for _ in range(8):
+            cut = _quartered_cut(rng, kind, rng.randint(1, 6), rng.randint(1, 6))
+            binary = cut_to_bqp01(cut)
+            cut_scale, binary_scale = analyze(cut).work.scale, analyze(binary).work.scale
+            assert cut_scale == cut.integer.scale and cut_scale % binary_scale == 0
+            larger_scale += cut_scale > binary_scale
+            for algorithm in ALGORITHMS:
+                assert _outcome(cut, algorithm, False) == _outcome(binary, algorithm, True), (
+                    kind, algorithm, cut,
+                )
+    assert larger_scale >= 24
+
+
+def _cli(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = [line.split(" time=")[0] for line in captured.out.splitlines()]
+    return code, [line for line in out if not line.startswith("time=")], captured.err
+
+
+def test_cli_integer_reader_prints_what_the_rational_reader_prints(tmp_path, capsys, monkeypatch):
+    rng = random.Random(1104)
+    sparse = [[Fraction(v, rng.randint(1, 12)) for v in row]
+              for row in generate_instance("sparse-negative2", 6, 5, 3).q]
+    instances = [
+        _quartered_cut(rng, "rank1", 4, 6),
+        _quartered_cut(rng, "general", 3, 5),
+        _quartered_cut(rng, "additive", 5, 4),
+        generate_instance("nonnegative", 5, 6, 2),
+        generate_instance("general", 7, 7, 13),
+        Instance(sparse, ["0.5"] * 6, ["2.25"] * 5, "1/3"),
+    ]
+    paths = []
+    for k, inst in enumerate(instances):
+        path = tmp_path / f"inst{k}.bqp"
+        path.write_text(format_instance(inst), encoding="utf-8")
+        paths.append(str(path))
+    commands = [["analyze", p, "--format", "kv"] for p in paths]
+    commands += [["solve", p, "--format", "kv"] for p in paths]
+    commands += [["solve", p, "--format", "kv", "--algorithm", "oracle"] for p in paths]
+    limits = ["--p-limit", "2", "--enum-limit", "3", "--eliminator-limit", "1"]
+    commands += [["solve", paths[4], *limits]]  # a refusal, with its report on stderr
+    commands += [["bench", *paths, "--algorithms", "auto,oracle,enum", "--format", "kv"]]
+    integer = [_cli(argv, capsys) for argv in commands]
+    monkeypatch.setattr(bqp01.cli, "parse_integer_instance", parse_instance)
+    rational = [_cli(argv, capsys) for argv in commands]
+    assert integer == rational
+    assert {code for code, _, _ in integer} == {0, 2}

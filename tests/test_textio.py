@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bqp01 import (
     CutInstance,
@@ -11,9 +14,11 @@ from bqp01 import (
     format_instance,
     format_solution,
     parse_instance,
+    parse_integer_instance,
     parse_rational,
 )
 from bqp01.fixtures import sample_general
+from bqp01.textio import _ratio
 
 from conftest import random_instance
 
@@ -141,3 +146,133 @@ def test_solution_formatting():
 def test_solution_formatting_huge_value():
     sol = Solution((1,), (1,), Fraction(10 ** 400))
     assert "overflow" in format_solution(sol)
+
+
+# --- the integer reader ---------------------------------------------------------
+
+TOKEN_CHARS = "0123456789+-./eE_\u0663"
+NEAR_NUMBERS = st.from_regex(
+    r"[+-]?[0-9_\u0663]{0,4}([./][0-9_\u0663+-]{0,4})?([eE][+-]?[0-9_]{0,3})?", fullmatch=True
+)
+
+
+def _check_token(token):
+    """_ratio and parse_rational accept exactly what Fraction accepts, with
+    its value, and reject the rest with Fraction's message."""
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        message = str(ParseError(f"bad number {token!r} ({exc})", 7))
+        for parse in (_ratio, parse_rational):
+            with pytest.raises(ParseError) as info:
+                parse(token, 7)
+            assert str(info.value) == message and info.value.line == 7
+        return
+    num, den = _ratio(token)
+    assert type(num) is int and type(den) is int and den > 0
+    assert Fraction(num, den) == expected
+    assert parse_rational(token) == expected
+
+
+def test_tokenizer_on_every_short_token():
+    for size in range(5):
+        for chars in product(TOKEN_CHARS, repeat=size):
+            _check_token("".join(chars))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(TOKEN_CHARS, min_size=5, max_size=9) | NEAR_NUMBERS)
+@example("-.5")
+@example("1/-2")
+@example("1/+2")
+@example("1_0/3")
+@example("\u0663/\u0663")
+@example("-12.50e-1")
+def test_tokenizer_accepts_exactly_what_fraction_accepts(token):
+    _check_token(token)
+
+
+def _token(rng, value: Fraction) -> str:
+    """Some exact spelling of value: p/q, possibly unreduced, a decimal,
+    an exponent or a plain int, with an optional '+' sign."""
+    num, den = value.numerator, value.denominator
+    k = rng.randint(1, 3)
+    forms = [f"{num * k}/{den * k}"]
+    if den == 1:
+        forms += [str(num), f"{num}.0", f"{num}e0"]
+    for digits in range(1, 4):
+        if 10**digits % den == 0:
+            text = str(abs(num) * (10**digits // den)).rjust(digits + 1, "0")
+            forms.append(f"{'-' if num < 0 else ''}{text[:-digits]}.{text[-digits:]}")
+            break
+    token = rng.choice(forms)
+    return "+" + token if rng.random() < 0.1 and not token.startswith("-") else token
+
+
+def _random_text(rng, header="bqp01") -> str:
+    """Instance text whose numbers use every spelling of ``_token``."""
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    dens = rng.choice([(1,), (1, 2, 4), (1, 3, 7), (2, 5, 8, 10), (1, 12, 125)])
+
+    def value():
+        return Fraction(rng.randint(-60, 60), rng.choice(dens))
+
+    rows = [[value()], [value() for _ in range(m)], [value() for _ in range(n)]]
+    rows += [[value() for _ in range(n)] for _ in range(m)]
+    body = "\n".join(" ".join(_token(rng, v) for v in row) for row in rows)
+    return f"# random instance\n{header}\n{m} {n}\n{body}\n"
+
+
+def test_integer_reader_equals_the_rational_reader():
+    rng = random.Random(1101)
+    for k in range(300):
+        text = _random_text(rng, "bqp11" if k % 3 == 0 else "bqp01")
+        rational = parse_instance(text)
+        integer = parse_integer_instance(text)
+        assert integer == rational.integer
+        assert integer.cut == (k % 3 == 0)
+        assert parse_integer_instance(format_instance(rational)) == integer
+
+
+def test_integer_reader_keeps_int_rows_at_scale_one():
+    text = SAMPLE_TEXT.replace("1 -2", "1e1 -2")  # int() rejects 1e1: per-token path
+    integer = parse_integer_instance(text)
+    assert integer.scale == 1 and integer == parse_instance(text).integer
+    assert integer.q == ((10, -2), (3, 0)) and not integer.cut
+
+
+def test_integer_reader_reduces_to_the_least_common_denominator():
+    text = "bqp01\n1 2\n0.5\n2/4\n0.25 1.50\n6/8 0.125\n"
+    integer = parse_integer_instance(text)
+    assert integer.scale == 8
+    assert (integer.c0, integer.c, integer.d, integer.q) == (4, (4,), (2, 12), ((6, 1),))
+
+
+MALFORMED = [
+    "",
+    "# nothing\n",
+    "qubo\n1 1\n0\n0\n0\n0\n",
+    "bqp01\n1 x\n0\n1\n1\n1\n",
+    "bqp01\n0 2\n0\n\n1 1\n",
+    "bqp01\n3\n0\n1 1 1\n1\n1\n1\n1\n",
+    "bqp01\n1 1\n0\n1\nx\n1\n",
+    "bqp01\n1 2\n0\n1/2\n3 1/0\n1 2\n",
+    "bqp11\n1 2\n0\n1\n2 3\n1/3 .\n",
+    "bqp01\n1 2\n+.\n1\n2 3\n1 2\n",
+    "bqp01\n1 2\n0\n1\n2 3\n1 2 3\n",
+    "bqp01\n2 2\n0\n1 -1\n0 2\n1 -2\n",
+    "bqp01\n1 1\n0\n1\n2\n3\n4\n",
+    "bqp01\n1 1\n0\n1e\n2\n1/2 # c\n",
+    "bqp01\n1 1\n0\n1\n2\n1__0\n",
+    "bqp01\n1 2\n0\nx\n1\n1 2\n",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_readers_reject_malformed_text_alike(text):
+    with pytest.raises(ParseError) as rational:
+        parse_instance(text)
+    with pytest.raises(ParseError) as integer:
+        parse_integer_instance(text)
+    assert str(integer.value) == str(rational.value)
+    assert integer.value.line == rational.value.line

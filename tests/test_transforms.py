@@ -64,6 +64,31 @@ def test_cut_rewrites_are_inverse():
     assert cut_to_bqp01(cut) == zero
 
 
+def test_binary_rewrite_on_ints_keeps_the_cut_scale():
+    rng = random.Random(1105)
+    for _ in range(40):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        cut = CutInstance(
+            [[Fraction(rng.randint(-9, 9), 4) for _ in range(n)] for _ in range(m)],
+            [Fraction(rng.randint(-9, 9), 2) for _ in range(m)],
+            [Fraction(rng.randint(-9, 9), 3) for _ in range(n)],
+            Fraction(rng.randint(-9, 9), 5),
+        )
+        work = cut.integer
+        assert work.cut and not Instance(cut.q, cut.c, cut.d, cut.c0).integer.cut
+        binary = cut_to_bqp01(work)
+        assert not binary.cut and binary.scale == work.scale
+        rational = cut_to_bqp01(cut)
+        for ints, exact in zip(
+            (*binary.q, binary.c, binary.d, (binary.c0,)),
+            (*rational.q, rational.c, rational.d, (rational.c0,)),
+        ):
+            assert tuple(Fraction(v, work.scale) for v in ints) == exact
+        for w, z in all_points(m, n):
+            assert Fraction(binary.objective(w, z), binary.scale) == \
+                evaluate_cut_objective(cut, signs_of(w), signs_of(z))
+
+
 def test_cut_rewrite_identity_everywhere():
     rng = random.Random(21)
     for _ in range(40):
