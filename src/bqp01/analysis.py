@@ -25,7 +25,7 @@ class RankFactorization:
     ``left`` is m x p (the pivot columns of q, so it has full column rank)
     and ``right`` is p x n (denominator times the nonzero rows of the
     reduced row echelon form, so it has full row rank).  Rational factors
-    have denominator 1; ``IntegerInstance.factorization`` is all ints.
+    have denominator 1; ``IntegerInstance.rank_at_most`` returns all-int ones.
     """
 
     p: int

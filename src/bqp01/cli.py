@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         if exc.report is not None:
-            for key, value in exc.report.lines(bounded_rank=True):
+            for key, value in exc.report.lines():
                 print(f"  {key}={value}", file=sys.stderr)
         return 2
     except CrossValidationError as exc:

@@ -60,20 +60,18 @@ class AnalysisReport:
     def additive(self) -> bool:
         return detect_additive(self.work.q) is not None
 
-    @property
-    def rank(self) -> int:
-        return self.work.factorization.p
-
     @cached_property
     def eliminator(self) -> Eliminator:
         return min_negative_eliminator(self.work.q)
 
-    def lines(self, *, bounded_rank: bool = False) -> list[tuple[str, str]]:
+    def lines(self) -> list[tuple[str, str]]:
         """(key, value) text pairs.
 
-        With ``bounded_rank``, a rank bounded only by an ``auto`` refusal's
-        stopped elimination prints as that bound, such as ``>6``.
+        The rank prints exactly up to ``fixed_rank.DEFAULT_P_LIMIT`` (6)
+        and as ``>6`` above it, so no elimination runs past seven pivots.
         """
+        limit = fixed_rank.DEFAULT_P_LIMIT
+        fact = self.work.rank_at_most(limit)
         m, n = self.work.m, self.work.n
         rows, cols = self.eliminator.rows, self.eliminator.cols
         if self.transposed:
@@ -81,7 +79,7 @@ class AnalysisReport:
         return [
             ("m", str(m)),
             ("n", str(n)),
-            ("rank", self.work.rank_text if bounded_rank else str(self.rank)),
+            ("rank", f">{limit}" if fact is None else str(fact.p)),
             ("additive", "yes" if self.additive else "no"),
             ("nonnegative", "yes" if self.nonnegative else "no"),
             ("eliminator-size", str(self.eliminator.size)),
@@ -166,9 +164,9 @@ def _auto_route(found: AnalysisReport, p_limit: int, enum_limit: int, eliminator
     if found.additive:
         return "additive"
     # Only ranks up to max(p_limit, 1) route, so the elimination stops one pivot past that.
-    rank = found.work.rank_at_most(max(p_limit, 1))
-    if rank is not None:
-        return "rank1" if rank <= 1 else "rankp"
+    fact = found.work.rank_at_most(max(p_limit, 1))
+    if fact is not None:
+        return "rank1" if fact.p <= 1 else "rankp"
     if found.work.m <= enum_limit:
         return "enum"
     if found.eliminator.size <= eliminator_limit:
@@ -199,7 +197,8 @@ def _run(
         form = rank_one.RankOneForm.from_instance(work)
         return "rank-one matrix", rank_one.solve_rank_one(form)
     if algorithm == "rankp":
-        return f"rank-{found.rank} matrix", fixed_rank.solve_fixed_rank(work, p_limit)
+        solution = fixed_rank.solve_fixed_rank(work, p_limit)
+        return f"rank-{work.rank_at_most(p_limit).p} matrix", solution
     if algorithm == "additive":
         # A known-additive matrix goes straight to the scan; otherwise
         # solve_additive raises, naming the first mismatch.

@@ -4,7 +4,10 @@
 class SolverRefusal(Exception):
     """A solver declined to run because a configured size limit was exceeded.
 
-    Carries enough context to tell the caller which knob to turn.
+    Carries enough context to tell the caller which knob to turn:
+    ``limit`` is the setting and ``measured`` the size that exceeded it.
+    For a rank, ``measured`` is the least rank the stopped elimination
+    proved (limit + 1), not the rank itself.
     """
 
     def __init__(self, message, *, limit=None, measured=None, report=None):

@@ -200,9 +200,10 @@ def solve_fixed_rank(
 ) -> Solution:
     """Optimal solution via basis-structure candidate enumeration.
 
-    Uses the instance's integer rank factorization q = L R / D, enumerates
-    candidate x-vectors from all dual feasible basis structures, completes
-    each distinct one with its closed-form y, and returns the best; a
+    Uses the integer rank factorization q = L R / D of
+    ``rank_at_most(p_limit)``, refusing once p_limit + 1 pivots are found.
+    Enumerates candidate x-vectors from all dual feasible basis structures,
+    completes each distinct one with its closed-form y, and returns the best; a
     repeat (the same arrangement cell reached from another basis) is
     counted against the C(m,p) * 2^p bound but not scored again.  Each
     candidate is scored in O((m + n) p) integer operations from
@@ -211,13 +212,12 @@ def solve_fixed_rank(
     smallest (x, y).
     """
     work = inst.integer
-    fact = work.factorization
-    if fact.p > p_limit:
+    fact = work.rank_at_most(p_limit)
+    if fact is None:
         raise SolverRefusal(
-            f"matrix rank {fact.p} exceeds p_limit {p_limit}; "
-            f"raise p_limit (--p-limit) to allow it",
+            f"matrix rank > p_limit {p_limit}; raise p_limit (--p-limit) to allow it",
             limit=p_limit,
-            measured=fact.p,
+            measured=p_limit + 1,
         )
     den = fact.denominator
     d = [den * v for v in work.d]

@@ -136,36 +136,23 @@ class IntegerInstance(_Shape):
     def integer(self) -> "IntegerInstance":
         return self
 
-    @cached_property
-    def factorization(self):
-        """Integer rank factorization of q, computed once on first use."""
-        return self._factorize(None)
+    def rank_at_most(self, limit: int):
+        """The integer rank factorization of q if rank(q) <= limit, else None.
 
-    def rank_at_most(self, limit: int) -> int | None:
-        """rank(q) if it is at most ``limit``, else None.
-
-        The elimination stops once limit + 1 pivots prove the rank larger.
-        One that finishes within the limit is the whole factorization, so
-        it is cached as ``factorization`` and no route eliminates twice;
-        one that stops leaves ``rank_text`` reading ">limit".
+        The elimination stops once limit + 1 pivots prove the rank larger,
+        so ``rank_at_most(min(m, n)).p`` is the exact rank.  One record keeps
+        what the eliminations proved: the finished factorization, or the
+        largest limit shown to be exceeded.  A limit that record answers
+        runs no new elimination.
         """
-        fact = self.__dict__.get("factorization") or self._factorize(limit + 1)
-        if fact is None:
-            self.__dict__["_rank_above"] = limit
-        if fact is None or fact.p > limit:
+        record = self.__dict__.get("_rank", -1)  # an int k: rank(q) > k is proved
+        if isinstance(record, int) and limit > record:
+            record = self.__dict__["_rank"] = self._factorize(limit + 1) or limit
+        if isinstance(record, int) or record.p > limit:
             return None
-        self.__dict__["factorization"] = fact  # the cached_property's slot
-        return fact.p
+        return record
 
-    @property
-    def rank_text(self) -> str:
-        """rank(q), or ">k" when only a stopped elimination has proved rank > k."""
-        above = self.__dict__.get("_rank_above")
-        if above is None or "factorization" in self.__dict__:
-            return str(self.factorization.p)
-        return f">{above}"
-
-    def _factorize(self, max_pivots: int | None):
+    def _factorize(self, max_pivots: int):
         """The factorization, or None if ``max_pivots`` pivots stopped it."""
         from .analysis import RankFactorization, bareiss  # analysis imports model
 

@@ -58,16 +58,17 @@ class RankOneForm:
 
     @classmethod
     def from_instance(cls, inst: Instance | IntegerInstance) -> "RankOneForm":
-        """Factor inst.q = a b^T; raises if rank(q) exceeds one.
+        """Factor inst.q = a b^T; raises ValueError if rank(q) exceeds one.
 
-        Reads the integer instance's cached factorization, so no matrix is
-        factored twice.  a is the pivot column of q, and b the pivot row
-        divided by the pivot.
+        Asks the integer instance for ``rank_at_most(1)``, so the
+        elimination stops at its second pivot and a factorization already
+        recorded there is reused.  a is the pivot column of q, and b the
+        pivot row divided by the pivot.
         """
         work = inst.integer
-        fact = work.factorization
-        if fact.p > 1:
-            raise ValueError(f"matrix has rank {fact.p}, expected at most 1")
+        fact = work.rank_at_most(1)
+        if fact is None:
+            raise ValueError("matrix has rank > 1, expected at most 1")
         a = [Fraction(row[0], work.scale) if row else 0 for row in fact.left]
         b = [Fraction(v, fact.denominator) for v in fact.right[0]] if fact.p else [0] * work.n
         linear = [Fraction(v, work.scale) for v in (*work.c, *work.d, work.c0)]

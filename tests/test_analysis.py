@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import sympy
 
+import bqp01.analysis
 from bqp01 import (
     Instance,
     detect_additive,
@@ -122,7 +123,15 @@ def product_of_rank(rng, m, n, r):
     return [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
 
 
-def test_bounded_rank_matches_sympy():
+def test_bounded_rank_matches_sympy(monkeypatch):
+    calls = []
+    original = bqp01.analysis.bareiss
+
+    def recording(matrix, max_pivots=None):
+        calls.append(max_pivots)
+        return original(matrix, max_pivots)
+
+    monkeypatch.setattr(bqp01.analysis, "bareiss", recording)
     rng = random.Random(33)
     cases = [[[0] * 4] * 3, [[0] * 5], [[3, 0, -1, 2]], [[0], [2], [0]]]
     cases += [random_matrix(rng, 1, rng.randint(1, 6), -3, 3) for _ in range(10)]
@@ -140,14 +149,23 @@ def test_bounded_rank_matches_sympy():
             assert len(pivots) == min(rank, limit + 1)
             if rank <= limit:  # finished: the whole elimination
                 assert (rows, pivots, det) == full
-            work = Instance(q).integer
-            assert work.rank_at_most(limit) == (rank if rank <= limit else None)
-            if rank <= limit:
-                assert work.__dict__["factorization"] == Instance(q).integer.factorization
-            else:
-                assert "factorization" not in work.__dict__
             at_limit += rank == limit
             over_limit += rank == limit + 1
+        # Any order of limits gives sympy's answer, and a limit already
+        # answered by what the earlier calls proved runs no elimination.
+        limits = list(range(6))
+        rng.shuffle(limits)
+        work = Instance(q).integer
+        exact, above = None, -1
+        for limit in limits:
+            calls.clear()
+            fact = work.rank_at_most(limit)
+            assert (None if fact is None else fact.p) == (rank if rank <= limit else None)
+            if exact is not None or limit <= above:
+                assert calls == []
+            else:
+                assert calls == [limit + 1]
+                exact, above = (rank, above) if rank <= limit else (None, limit)
     assert at_limit > 50 and over_limit > 50
 
 

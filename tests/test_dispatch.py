@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 
 import bqp01.analysis
 import bqp01.cli
@@ -135,8 +136,9 @@ def test_refusal_carries_analysis_report():
         dispatch_solve(inst, p_limit=2, enum_limit=3, eliminator_limit=1)
     report = err.value.report
     assert report is not None
-    assert report.rank > 2
-    assert ("rank", str(report.rank)) in report.lines()
+    rank = sympy.Matrix(inst.q).rank()
+    assert rank > 2
+    assert ("rank", str(rank) if rank <= 6 else ">6") in report.lines()
     for setting in ("p_limit", "enum_limit", "eliminator_limit"):
         assert setting in str(err.value)
         assert "--" + setting.replace("_", "-") in str(err.value)
@@ -144,8 +146,8 @@ def test_refusal_carries_analysis_report():
 
 def test_bounded_rank_lines_print_the_exact_rank_without_a_stopped_elimination():
     report = analyze(generate_instance("general", 8, 9, 4))
-    assert dict(report.lines(bounded_rank=True))["rank"] == "8"
-    assert report.lines(bounded_rank=True) == report.lines()
+    assert dict(report.lines())["rank"] == ">6"
+    assert dict(analyze(generate_instance("rank3", 8, 9, 4)).lines())["rank"] == "3"
 
 
 def test_analyze_reports_all_detectors():
@@ -249,7 +251,7 @@ def test_cli_dump_breakpoints_refuses_rank_two_before_output(tmp_path, capsys):
     assert main(["solve", str(path), "--dump-breakpoints"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "matrix has rank 2, expected at most 1" in captured.err
+    assert "matrix has rank > 1, expected at most 1" in captured.err
 
 
 def test_cli_analyze(instance_file, capsys):
@@ -391,8 +393,8 @@ def test_refusal_names_the_shorter_side_for_enum():
             dispatch_solve(inst, enum_limit=10, eliminator_limit=5)
         assert "min(m, n) 30 > enum_limit 10" in str(err.value)
         assert "rank > p_limit 6" in str(err.value)
-        # The report still measures the whole rank.
-        assert dict(err.value.report.lines())["rank"] == "30"
+        # The report bounds the rank where the default p_limit does.
+        assert dict(err.value.report.lines())["rank"] == ">6"
 
 
 def test_routes_eliminate_the_full_matrix_at_most_once(monkeypatch):
@@ -441,17 +443,61 @@ def test_cli_refusal_prints_rank_bound_without_full_elimination(tmp_path, monkey
     assert full == [False]
 
 
+@pytest.fixture
+def full_eliminations(monkeypatch):
+    """True for each analysis.bareiss call that runs without a pivot bound."""
+    full = []
+    original = bqp01.analysis.bareiss
+
+    def recording(matrix, max_pivots=None):
+        full.append(max_pivots is None)
+        return original(matrix, max_pivots)
+
+    monkeypatch.setattr(bqp01.analysis, "bareiss", recording)
+    return full
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["analyze", "--format", "kv"], 0),
+        (["solve", "--algorithm", "rankp"], 2),
+        (["solve", "--algorithm", "rank1"], 1),
+        (["solve", "--dump-breakpoints"], 1),
+    ],
+    ids=["analyze", "rankp", "rank1", "dump-breakpoints"],
+)
+def test_cli_rank_queries_stop_the_elimination(args, code, tmp_path, capsys, full_eliminations):
+    path = tmp_path / "general.bqp"
+    path.write_text(format_instance(generate_instance("general", 40, 40, 1)), encoding="utf-8")
+    assert main([args[0], str(path), *args[1:]]) == code
+    out = capsys.readouterr().out
+    if args[0] == "analyze":
+        assert "rank=>6\n" in out
+    elif code == 1:
+        assert out == ""
+    assert full_eliminations and not any(full_eliminations)
+
+
+def test_forced_rankp_refusal_measures_the_rank_bound(full_eliminations):
+    with pytest.raises(SolverRefusal) as err:
+        dispatch_solve(generate_instance("general", 40, 40, 1), "rankp")
+    assert (err.value.limit, err.value.measured) == (6, 7)
+    assert "matrix rank > p_limit 6" in str(err.value)
+    assert full_eliminations == [False]
+
+
 # The README's solver table, in auto's order: the first rule that holds
 # names the route, and an instance no rule accepts is refused.
 ROUTE_RULES = [
-    ("mincut", lambda found, m, n, limits: found.nonnegative),
-    ("additive", lambda found, m, n, limits: found.additive),
-    ("rank1", lambda found, m, n, limits: found.rank <= 1),
-    ("rankp", lambda found, m, n, limits: found.rank <= limits["p_limit"]),
-    ("enum", lambda found, m, n, limits: min(m, n) <= limits["enum_limit"]),
+    ("mincut", lambda found, rank, m, n, limits: found.nonnegative),
+    ("additive", lambda found, rank, m, n, limits: found.additive),
+    ("rank1", lambda found, rank, m, n, limits: rank <= 1),
+    ("rankp", lambda found, rank, m, n, limits: rank <= limits["p_limit"]),
+    ("enum", lambda found, rank, m, n, limits: min(m, n) <= limits["enum_limit"]),
     (
         "eliminator",
-        lambda found, m, n, limits: found.eliminator.size <= limits["eliminator_limit"],
+        lambda found, rank, m, n, limits: found.eliminator.size <= limits["eliminator_limit"],
     ),
 ]
 
@@ -475,8 +521,9 @@ def test_auto_takes_the_first_applicable_rule():
             facts = dict(found.lines())
             m, n = int(facts["m"]), int(facts["n"])
             assert (m, n) == (inst.m, inst.n)
+            rank = sympy.Matrix(inst.q).rank()  # the cut form's 0-1 matrix is 4q
             expected = next(
-                (name for name, holds in ROUTE_RULES if holds(found, m, n, limits)),
+                (name for name, holds in ROUTE_RULES if holds(found, rank, m, n, limits)),
                 "refused",
             )
             seen.add(expected)

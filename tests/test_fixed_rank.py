@@ -286,7 +286,7 @@ def every_corner_best(inst):
     """Best candidate when every corner of every structure is scored,
     repeats included; ties go to the smallest (x, y)."""
     work = inst.integer
-    fact = work.factorization
+    fact = work.rank_at_most(min(work.m, work.n))
     scored = []
     for structure in enumerate_dual_feasible_bases(fact.left, work.c):
         for x in candidates_from_basis(structure):
@@ -312,7 +312,9 @@ def test_each_distinct_candidate_is_scored_once(monkeypatch):
         work = inst.integer
         corners = [
             x
-            for structure in enumerate_dual_feasible_bases(work.factorization.left, work.c)
+            for structure in enumerate_dual_feasible_bases(
+                work.rank_at_most(min(work.m, work.n)).left, work.c
+            )
             for x in candidates_from_basis(structure)
         ]
         repeats += len(corners) - len(set(corners))
