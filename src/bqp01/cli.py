@@ -20,7 +20,7 @@ from .errors import CrossValidationError, ParseError, SolverRefusal
 from .fixed_rank import DEFAULT_P_LIMIT
 from .generate import generate_instance
 from .mincut import DEFAULT_ELIMINATOR_LIMIT
-from .model import CutInstance, Instance
+from .model import Instance
 from .rank_one import RankOneForm, pkp_breakpoints, ulp_breakpoints
 from .textio import format_instance, format_solution, parse_instance, parse_integer_instance
 from .transforms import bqp01_to_cut, bqp01_to_qp01, cut_to_bqp01, to_homogeneous
@@ -28,7 +28,8 @@ from .transforms import bqp01_to_cut, bqp01_to_qp01, cut_to_bqp01, to_homogeneou
 
 def _read_instance(path: str, parse):
     """The file (stdin for '-') read by ``parse``: ``parse_integer_instance``
-    for the solvers, ``parse_instance`` where rationals are printed."""
+    for the solvers, ``parse_instance`` for ``transform``, which prints
+    rationals."""
     if path == "-":
         return parse(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as handle:
@@ -46,13 +47,10 @@ def _emit(pairs: list[tuple[str, str]], fmt: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    # The breakpoint tables print the rank-one form of the rational instance.
-    parse = parse_instance if args.dump_breakpoints else parse_integer_instance
-    inst = _read_instance(args.instance, parse)
+    inst = _read_instance(args.instance, parse_integer_instance)
     if args.dump_breakpoints:
         # Built first, so a matrix of rank above one fails before any output.
-        work = cut_to_bqp01(inst) if isinstance(inst, CutInstance) else inst
-        form = RankOneForm.from_instance(work)
+        form = RankOneForm.from_instance(cut_to_bqp01(inst) if inst.cut else inst)
     report = dispatch_solve(
         inst,
         args.algorithm,

@@ -9,6 +9,12 @@ locations, every breakpoint solution is integral, and the instance optimum
 is attained at a breakpoint of the concave track.  A single merged sweep
 over both breakpoint lists therefore solves the instance.
 
+One parametric LP track, max{o.z + s r.z : z in [0,1]^k} as s grows,
+builds both envelopes.  On (b, d) from s = lambda_min it is the convex
+envelope itself.  On (a, c) from s = -infinity it is the Lagrangian dual
+of the knapsack: each of its segments is a knapsack breakpoint, with the
+slope a.x as the breakpoint and the intercept c.x as the value there.
+
 Internally the pipeline scales the form to integers with the shared
 ``clear_denominators`` step (a uniform positive scaling of the objective,
 so the argmax is untouched) and runs on plain integers; ratios are sorted
@@ -128,11 +134,7 @@ class BreakpointTrack:
 
     def state_after(self, flips: int) -> tuple[int, ...]:
         """Solution vector after applying the first ``flips`` groups."""
-        state = list(self.initial)
-        for group in self.groups[:flips]:
-            for index, value in group:
-                state[index] = value
-        return tuple(state)
+        return _replay(self.initial, self.groups, flips)
 
 
 # --- exact integer core -------------------------------------------------------
@@ -172,91 +174,66 @@ def _sorted_ratio_groups(pairs: list[tuple[int, int, int]]) -> list[list[int]]:
     return groups
 
 
-def _knapsack_track_ints(a: list[int], c: list[int]):
-    """Concave envelope of max{C.x : A.x = t} in scaled integer units.
+def _parametric_track(rates: list[int], offsets: list[int], lo: int | None = None):
+    """Parametric LP track of max{O.z + s R.z : z in [0,1]^k} as s grows.
 
-    Returns (breakpoints, groups, initial, values): breakpoints on the
-    scaled axis, flip groups as (index, new value) pairs between
-    consecutive breakpoints, the base solution at the smallest breakpoint,
-    and the envelope value at each breakpoint.
+    With lo None the sweep starts at s = -infinity, where z_i = 1 iff
+    R_i < 0, or R_i = 0 < O_i.  Otherwise it starts at s = lo by the
+    margin rule: z_i = 1 iff O_i + lo R_i > 0, a zero margin taking the
+    sign of R_i (z_i = 1 iff R_i >= 0).  The sweep crosses the distinct
+    ratios -O_i/R_i (R_i != 0) strictly above the start, in increasing
+    order, and toggles every member of each tie group.
+
+    Returns (initial, groups, intercepts, slopes): the start state; the
+    group toggled at each crossed ratio, as (index, new value) pairs; and
+    the running O.z and R.z, one entry per state (len(groups) + 1).  Each
+    toggle raises the slope by |R_i|, so the slopes strictly increase, and
+    the ratio crossed between states k and k+1 is where their lines meet:
+    (intercepts[k] - intercepts[k+1]) / (slopes[k+1] - slopes[k]).
     """
-    m = len(a)
-    initial = tuple(
-        1 if (a[i] < 0 or (a[i] == 0 and c[i] > 0)) else 0 for i in range(m)
-    )
-    lam = sum(v for v in a if v < 0)
-    value = sum(c[i] for i in range(m) if initial[i])
-    # Descending ratio c_i/a_i == ascending -c_i/a_i, normalized positive-den.
+    if lo is None:
+        initial = tuple(
+            1 if r < 0 or (r == 0 and o > 0) else 0 for r, o in zip(rates, offsets)
+        )
+    else:
+        initial = tuple(
+            1 if (margin := o + lo * r) > 0 or (margin == 0 and r >= 0) else 0
+            for r, o in zip(rates, offsets)
+        )
+    intercept = sum(o for o, z in zip(offsets, initial) if z)
+    slope = sum(r for r, z in zip(rates, initial) if z)
     pairs = [
-        ((-c[i] if a[i] > 0 else c[i]), abs(a[i]), i) for i in range(m) if a[i]
+        ((-o if r > 0 else o), abs(r), i) for i, (r, o) in enumerate(zip(rates, offsets)) if r
     ]
-    breakpoints = [lam]
-    values = [value]
-    groups: list[tuple[tuple[int, int], ...]] = []
-    for raw_group in _sorted_ratio_groups(pairs):
-        step = 0
-        gain = 0
-        group = []
-        for i in raw_group:
-            if a[i] > 0:
-                group.append((i, 1))
-                step += a[i]
-                gain += c[i]
-            else:
-                group.append((i, 0))
-                step -= a[i]
-                gain -= c[i]
-        breakpoints.append(breakpoints[-1] + step)
-        values.append(values[-1] + gain)
-        groups.append(tuple(group))
-    return breakpoints, groups, initial, values
-
-
-def _linear_track_ints(b: list[int], d: list[int], lam_lo: int):
-    """Convex envelope of max{D.y + t B.y} in scaled integer units.
-
-    Returns (mu_pairs, groups, initial, intercepts, slopes): breakpoints
-    as exact (numerator, positive denominator) pairs on the scaled axis,
-    in strictly increasing order beyond lam_lo; the flip group firing at
-    each; the base solution; and the running intercept/slope aggregates,
-    one entry per state (len(groups) + 1).
-    """
-    n = len(b)
-    initial = []
-    for j in range(n):
-        margin = d[j] + lam_lo * b[j]
-        initial.append(1 if margin > 0 or (margin == 0 and b[j] >= 0) else 0)
-    initial = tuple(initial)
-    intercept = sum(d[j] for j in range(n) if initial[j])
-    slope = sum(b[j] for j in range(n) if initial[j])
-    pairs = []
-    for j in range(n):
-        if b[j]:
-            num = -d[j] if b[j] > 0 else d[j]
-            den = abs(b[j])
-            if num > lam_lo * den:
-                pairs.append((num, den, j))
-    mu_pairs: list[tuple[int, int]] = []
+    if lo is not None:
+        pairs = [pair for pair in pairs if pair[0] > lo * pair[1]]
     groups: list[tuple[tuple[int, int], ...]] = []
     intercepts = [intercept]
     slopes = [slope]
     for raw_group in _sorted_ratio_groups(pairs):
         group = []
-        for j in raw_group:
-            if initial[j]:
-                group.append((j, 0))
-                intercept -= d[j]
-                slope -= b[j]
+        for i in raw_group:
+            if initial[i]:
+                group.append((i, 0))
+                intercept -= offsets[i]
+                slope -= rates[i]
             else:
-                group.append((j, 1))
-                intercept += d[j]
-                slope += b[j]
-        j0 = raw_group[0]
-        mu_pairs.append(((-d[j0] if b[j0] > 0 else d[j0]), abs(b[j0])))
+                group.append((i, 1))
+                intercept += offsets[i]
+                slope += rates[i]
         groups.append(tuple(group))
         intercepts.append(intercept)
         slopes.append(slope)
-    return mu_pairs, groups, initial, intercepts, slopes
+    return initial, groups, intercepts, slopes
+
+
+def _replay(initial: tuple[int, ...], groups, count: int) -> tuple[int, ...]:
+    """``initial`` with the first ``count`` flip groups applied."""
+    state = list(initial)
+    for group in groups[:count]:
+        for index, value in group:
+            state[index] = value
+    return tuple(state)
 
 
 # --- public track construction --------------------------------------------------
@@ -273,7 +250,7 @@ def pkp_breakpoints(form: RankOneForm) -> BreakpointTrack:
     solution is binary and the track value is concave.
     """
     a, _, c, _, _, scale = _integer_form(form)
-    breakpoints, groups, initial, values = _knapsack_track_ints(a, c)
+    initial, groups, values, breakpoints = _parametric_track(a, c)
     return BreakpointTrack(
         tuple(Fraction(t, scale) for t in breakpoints),
         tuple(groups),
@@ -298,8 +275,11 @@ def ulp_breakpoints(form: RankOneForm) -> BreakpointTrack:
     segment; the slopes B strictly increase, so the track value is convex.
     """
     a, b, _, d, _, scale = _integer_form(form)
-    lam_lo = sum(x for x in a if x < 0)
-    mu_pairs, groups, initial, intercepts, slopes = _linear_track_ints(b, d, lam_lo)
+    initial, groups, intercepts, slopes = _parametric_track(b, d, sum(x for x in a if x < 0))
+    # Breakpoint k is where the lines of segments k and k+1 meet.
+    mu_pairs = [
+        (i0 - i1, s1 - s0) for i0, i1, s0, s1 in zip(intercepts, intercepts[1:], slopes, slopes[1:])
+    ]
     values = tuple(
         Fraction(intercepts[k + 1] * den + num * slopes[k + 1], den * scale**2)
         for k, (num, den) in enumerate(mu_pairs)
@@ -325,33 +305,26 @@ def solve_rank_one(form: RankOneForm) -> Solution:
     c0.  The best candidate over all concave breakpoints is optimal.
     """
     a, b, c, d, c0, scale = _integer_form(form)
-    x_bps, x_groups, x_initial, x_values = _knapsack_track_ints(a, c)
-    lam_lo = x_bps[0]
-    mu_pairs, y_groups, y_initial, intercepts, slopes = _linear_track_ints(
-        b, d, lam_lo
-    )
+    x_initial, x_groups, x_values, x_bps = _parametric_track(a, c)
+    y_initial, y_groups, intercepts, slopes = _parametric_track(b, d, x_bps[0])
 
     flips = 0
-    total_flips = len(mu_pairs)
+    total_flips = len(y_groups)
     best_value: int | None = None
     best_k = 0
     best_flips = 0
     for k, t in enumerate(x_bps):
-        while flips < total_flips and mu_pairs[flips][0] <= t * mu_pairs[flips][1]:
-            flips += 1
-        value = x_values[k] + intercepts[flips] + t * slopes[flips] + c0
+        # Past a convex breakpoint at or below t, the next segment's line is as high.
+        line = intercepts[flips] + t * slopes[flips]
+        while flips < total_flips and (up := intercepts[flips + 1] + t * slopes[flips + 1]) >= line:
+            flips, line = flips + 1, up
+        value = x_values[k] + line + c0
         if best_value is None or value > best_value:
             best_value = value
             best_k = k
             best_flips = flips
     assert best_value is not None
 
-    x = list(x_initial)
-    for group in x_groups[:best_k]:
-        for index, bit in group:
-            x[index] = bit
-    y = list(y_initial)
-    for group in y_groups[:best_flips]:
-        for index, bit in group:
-            y[index] = bit
-    return Solution(tuple(x), tuple(y), Fraction(best_value, scale**2))
+    x = _replay(x_initial, x_groups, best_k)
+    y = _replay(y_initial, y_groups, best_flips)
+    return Solution(x, y, Fraction(best_value, scale**2))

@@ -20,7 +20,7 @@ which the command line solves on, builds the same instance's exact
 a row of plain integers with one ``map(int, ...)``.
 
 Solutions render as three lines: value (exact and decimal), then the x and
-y assignments as bit strings ('+'/'-' for cut solutions).
+y assignments as bit strings, both as '+'/'-' when either holds a -1.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import floordiv, mul
-from typing import Sequence
 
 from .errors import ParseError
 from .model import CutInstance, Instance, IntegerInstance, Solution
@@ -210,16 +209,16 @@ def _approx(value: Fraction) -> str:
         return "overflow"
 
 
-def _bits(vec: Sequence[int]) -> str:
-    if any(v < 0 for v in vec):
-        return "".join("+" if v > 0 else "-" for v in vec)
-    return "".join(str(v) for v in vec)
-
-
 def format_solution(sol: Solution) -> str:
+    """Value line, then x and y as digits, or both as signs if either holds a -1.
+
+    A cut solution with no -1 prints as 1s, which reads the same in both forms.
+    """
+    signs = any(v < 0 for v in chain(sol.x, sol.y))
+    bit = (lambda v: "+" if v > 0 else "-") if signs else str
     lines = [
         f"value {sol.value} {_approx(sol.value)}",
-        f"x {_bits(sol.x)}",
-        f"y {_bits(sol.y)}",
+        f"x {''.join(map(bit, sol.x))}",
+        f"y {''.join(map(bit, sol.y))}",
     ]
     return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ from bqp01 import (
     CrossValidationError,
     CutInstance,
     Instance,
+    RankOneForm,
     Solution,
     SolverRefusal,
     analyze,
@@ -24,6 +25,8 @@ from bqp01 import (
     evaluate_cut_objective,
     evaluate_objective,
     generate_instance,
+    pkp_breakpoints,
+    ulp_breakpoints,
 )
 from bqp01.cli import main
 from bqp01.fixtures import (
@@ -243,6 +246,23 @@ def test_cli_solve_dump_breakpoints(instance_file, capsys):
     out = capsys.readouterr().out
     assert "# concave-x track" in out and "# convex-y track" in out
     assert "-5 11" in out and "3/4 59/4" in out
+
+
+def test_cli_dump_breakpoints_of_a_rational_cut_file(tmp_path, capsys):
+    a, b = [Fraction(1, 2), -3, 0], [Fraction(2, 3), Fraction(-5, 4), 1, 0]
+    q = [[ai * bj for bj in b] for ai in a]
+    cut = CutInstance(q, [Fraction(7, 5), 0, Fraction(-1, 6)], [1, Fraction(-3, 8), 0, 2], "1/9")
+    text = format_instance(cut)
+    path = tmp_path / "rational.bqp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", str(path), "--dump-breakpoints"]) == 0
+    out = capsys.readouterr().out
+    form = RankOneForm.from_instance(cut_to_bqp01(parse_instance(text)))
+    expected = ""
+    for label, track in (("concave-x", pkp_breakpoints(form)), ("convex-y", ulp_breakpoints(form))):
+        expected += f"# {label} track: breakpoint value\n"
+        expected += "".join(f"{t} {h}\n" for t, h in zip(track.breakpoints, track.values))
+    assert out[out.index("# concave-x") :] == expected
 
 
 def test_cli_dump_breakpoints_refuses_rank_two_before_output(tmp_path, capsys):

@@ -103,6 +103,17 @@ def test_convex_track_no_breakpoints_for_zero_b():
     assert track.intercepts == (1,) and track.slopes == (0,)
 
 
+def test_zero_rate_zero_offset_starts_differ_between_tracks():
+    # a_0 = c_0 = 0 starts at x_0 = 0 (the knapsack needs c_i > 0), while
+    # b_0 = d_0 = 0 starts at y_0 = 1 (a zero margin takes b_j's sign, and
+    # b_0 = 0 >= 0).  No ratio toggles them, so the solution keeps both.
+    form = RankOneForm([0, 1], [0, -1], [0, 2], [0, 3], 0)
+    assert pkp_breakpoints(form).initial == (0, 0)
+    assert ulp_breakpoints(form).initial == (1, 1)
+    sol = solve_rank_one(form)
+    assert (sol.x, sol.y, sol.value) == ((0, 1), (1, 1), 4)
+
+
 def test_boundary_tie_enters_initial_solution():
     # d + lambda_min * b == 0 is included (the >= rule).
     assert RICH.d[0] + RICH.lambda_min * RICH.b[0] == 0

@@ -143,6 +143,13 @@ def test_solution_formatting():
     assert format_solution(cut_sol) == "value 3 3.0\nx +-\ny -+\n"
 
 
+def test_solution_prints_both_vectors_as_signs_or_neither():
+    # bqp11 / 1 2 / 0 / 1 / 1 -5 / 1 1 is solved at x = (1,), y = (1, -1).
+    assert format_solution(Solution((1,), (1, -1), 7)) == "value 7 7.0\nx +\ny +-\n"
+    assert format_solution(Solution((-1, 1), (1,), 2)) == "value 2 2.0\nx -+\ny +\n"
+    assert format_solution(Solution((1,), (1, 1), 0)) == "value 0 0.0\nx 1\ny 11\n"
+
+
 def test_solution_formatting_huge_value():
     sol = Solution((1,), (1,), Fraction(10 ** 400))
     assert "overflow" in format_solution(sol)
