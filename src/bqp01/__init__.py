@@ -28,22 +28,9 @@ from .dispatch import (
 )
 from .enumeration import best_y_for_x, solve_enumeration, solve_oracle
 from .errors import CrossValidationError, ParseError, SolverRefusal
-from .fixed_rank import (
-    BasisStructure,
-    candidates_from_basis,
-    enumerate_dual_feasible_bases,
-    solve_fixed_rank,
-)
+from .fixed_rank import BasisStructure, enumerate_dual_feasible_bases, solve_fixed_rank
 from .generate import SplitMix64, generate_instance
-from .mincut import (
-    FlowNetwork,
-    ReducedInstance,
-    build_cut_network,
-    max_flow,
-    reduce_with_fixing,
-    solve_nonnegative,
-    solve_with_eliminator,
-)
+from .mincut import solve_nonnegative, solve_with_eliminator
 from .model import (
     BipartiteWeightedGraph,
     CutInstance,
@@ -96,13 +83,11 @@ __all__ = [
     "CrossValidationError",
     "CutInstance",
     "Eliminator",
-    "FlowNetwork",
     "Instance",
     "IntegerInstance",
     "ParseError",
     "RankFactorization",
     "RankOneForm",
-    "ReducedInstance",
     "SolveReport",
     "SolverRefusal",
     "Solution",
@@ -116,8 +101,6 @@ __all__ = [
     "bqp01_to_cut",
     "bqp01_to_qp01",
     "bqp11h_to_bmaxcut",
-    "build_cut_network",
-    "candidates_from_basis",
     "cut_to_bqp01",
     "detect_additive",
     "detect_nonnegative",
@@ -128,7 +111,6 @@ __all__ = [
     "format_instance",
     "format_solution",
     "generate_instance",
-    "max_flow",
     "min_negative_eliminator",
     "mwbp_to_bqp01",
     "normalize_orientation",
@@ -139,7 +121,6 @@ __all__ = [
     "qp01_to_bqp01",
     "rank1_binary_approx_to_bqp01",
     "rank_factorize",
-    "reduce_with_fixing",
     "solve_additive",
     "solve_enumeration",
     "solve_fixed_rank",

@@ -50,7 +50,7 @@ def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance, parse_integer_instance)
     if args.dump_breakpoints:
         # Built first, so a matrix of rank above one fails before any output.
-        form = RankOneForm.from_instance(cut_to_bqp01(inst) if inst.cut else inst)
+        form = RankOneForm.from_instance(inst)
     report = dispatch_solve(
         inst,
         args.algorithm,

@@ -26,7 +26,6 @@ from .analysis import (
 )
 from .errors import CrossValidationError, SolverRefusal
 from .model import CutInstance, Instance, IntegerInstance, Solution, normalize_orientation
-from .transforms import cut_to_bqp01
 
 ALGORITHMS = (
     "auto",
@@ -100,10 +99,7 @@ class SolveReport:
 
 def analyze(inst: Instance | CutInstance | IntegerInstance) -> AnalysisReport:
     """The lazy structure report that ``dispatch_solve`` routes the instance on."""
-    work = inst.integer
-    if work.cut:
-        work = cut_to_bqp01(work)
-    return AnalysisReport(*normalize_orientation(work))
+    return AnalysisReport(*normalize_orientation(inst.integer))
 
 
 def dispatch_solve(
@@ -117,9 +113,9 @@ def dispatch_solve(
     """Solve with the named algorithm, or pick one automatically.
 
     Cut-form instances (a CutInstance, or an IntegerInstance with ``cut``
-    set) are converted to 0-1 form on ints, solved, and mapped back to
-    signs at the same objective value.  Solvers run on the integer
-    form, oriented so the enumerated/parameterized side is the shorter one;
+    set) are solved on their integer form, which holds the 0-1 rewrite,
+    and reported as signs s = 2w - 1.  Solvers run on the integer form,
+    oriented so the enumerated/parameterized side is the shorter one;
     solutions are reported in the original orientation.  ``auto`` tries,
     in order: nonnegative -> mincut, additive -> additive, rank <= 1 ->
     rank1, rank <= p_limit -> rankp, m <= enum_limit -> enum, eliminator
@@ -146,7 +142,7 @@ def dispatch_solve(
         )
     if found.transposed:
         x, y = y, x
-    if inst.integer.cut:
+    if work.cut:
         x = tuple(2 * v - 1 for v in x)
         y = tuple(2 * v - 1 for v in y)
     return SolveReport(

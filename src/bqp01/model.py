@@ -12,13 +12,13 @@ from an instance are Fractions.  Instances are immutable, so they are safe
 to share between threads and to use as dictionary keys; an int-built
 instance equals, and hashes like, the same instance built from Fractions.
 
-Solvers and detectors run on plain ints.  ``clear_denominators`` is the
-one scaling step: ``Instance.integer`` applies it once per instance, giving
-an :class:`IntegerInstance` whose objective is the original times a
-positive ``scale``.  That keeps every argmax and tie, so solvers compare
-ints and divide by ``scale`` only in ``Solution.value``.  The command line
-reads files straight into this form (``textio.parse_integer_instance``,
-the same least common denominator without a Fraction per coefficient).
+Solvers and detectors run on plain ints.  ``_scale_pairs`` is the one
+scaling step: ``Instance.integer`` and the command line's reader
+(``textio.parse_integer_instance``) apply it once per instance, giving an
+:class:`IntegerInstance` whose objective is the original times a positive
+``scale``.  That keeps every argmax and tie, so solvers compare ints and
+divide by ``scale`` only in ``Solution.value``.  Its coefficients are
+always 0-1 ones: a {-1,+1} cut form is rewritten where it is made.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import floordiv, mul
 from typing import Sequence, Union
 
 Numeric = Union[int, str, float, Fraction]
@@ -46,6 +48,39 @@ def as_fraction(value: Numeric) -> Fraction:
 _INT_ONLY = frozenset((int,))
 
 
+def _scale_pairs(rows) -> tuple[list[tuple[int, ...]], int]:
+    """Rows of (numerators, denominators or None for ints) scaled to ints.
+
+    Returns (the rows times k, k) with k the least common denominator: the
+    values are scaled by the lcm S of the denominators, which need not be
+    in lowest terms, then S and the values are divided by their gcd.  At
+    k = 1 the numerator rows are returned as they are, not copied.
+    """
+    dens = {den for _, row_dens in rows if row_dens for den in row_dens}
+    ints = [nums for nums, _ in rows]
+    scale = lcm(*dens)
+    if scale > 1:
+        factor = {den: scale // den for den in dens}.__getitem__
+        ints = [
+            tuple(map(mul, nums, repeat(scale) if row_dens is None else map(factor, row_dens)))
+            for nums, row_dens in rows
+        ]
+        common = gcd(scale, *chain.from_iterable(ints))
+        if common > 1:
+            scale //= common
+            ints = [tuple(map(floordiv, row, repeat(common))) for row in ints]
+    return ints, scale
+
+
+def _pairs(vectors: Sequence[Sequence[Fraction | int]]):
+    """(values, None) for each vector of ints, else (numerators, denominators)."""
+    return [
+        (vec, None) if _INT_ONLY.issuperset(map(type, vec))
+        else (tuple(v.numerator for v in vec), tuple(v.denominator for v in vec))
+        for vec in map(tuple, vectors)
+    ]
+
+
 def clear_denominators(
     vectors: Sequence[Sequence[Fraction | int]],
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -56,11 +91,22 @@ def clear_denominators(
     denominators).  Vectors that hold only ints need no scan; when k is 1
     they are returned as they are (as tuples), not copied.
     """
-    pairs = [(vec, _INT_ONLY.issuperset(map(type, vec))) for vec in map(tuple, vectors)]
-    scale = lcm(*[v.denominator for vec, ints in pairs if not ints for v in vec])
-    if scale == 1:
-        return [vec if ints else tuple(v.numerator for v in vec) for vec, ints in pairs], 1
-    return [tuple(v.numerator * (scale // v.denominator) for v in vec) for vec, _ in pairs], scale
+    return _scale_pairs(_pairs(vectors))
+
+
+def binary_form(q, c, d, c0):
+    """The 0-1 coefficients q~ = 4q, c~_i = 2(c_i - sum_j q_ij),
+    d~_j = 2(d_j - sum_i q_ij), c~0 = sum q - sum c - sum d + c0 of a {-1,+1}
+    form, in its own arithmetic (ints or Fractions): for every binary (w, z)
+    they satisfy f(w, z) = cut(2w - 1, 2z - 1)."""
+    row_sums = [sum(row) for row in q]
+    col_sums = [sum(col) for col in zip(*q)]
+    return (
+        tuple(tuple(4 * v for v in row) for row in q),
+        tuple(2 * (ci - s) for ci, s in zip(c, row_sums)),
+        tuple(2 * (dj - s) for dj, s in zip(d, col_sums)),
+        sum(row_sums) - sum(c) - sum(d) + c0,
+    )
 
 
 def _freeze(value: Numeric) -> int | Fraction:
@@ -119,10 +165,10 @@ class IntegerInstance(_Shape):
     a point is ``Fraction(self.objective(x, y), self.scale)``.  Solvers
     accept this form wherever they accept an :class:`Instance`.
 
-    ``cut`` marks the coefficients of the {-1,+1} cut form
-    (``CutInstance.integer``, or ``parse_integer_instance`` of a bqp11
-    file).  Solvers read every instance as 0-1, so ``dispatch`` first
-    converts a cut one with ``cut_to_bqp01``, on ints at the same scale.
+    The coefficients are the 0-1 ones the solvers read.  ``cut`` marks an
+    instance made from the {-1,+1} cut form (``CutInstance.integer``, or
+    ``parse_integer_instance`` of a bqp11 file) by ``binary_form``, at the
+    cut form's scale; ``dispatch_solve`` reports its points as signs.
     """
 
     q: tuple[tuple[int, ...], ...]
@@ -167,19 +213,22 @@ class IntegerInstance(_Shape):
         return _bilinear_value(self.q, self.c, self.d, self.c0, x, y)
 
 
-def _integer_instance(obj) -> IntegerInstance:
-    ints, scale = clear_denominators((*obj.q, obj.c, obj.d, (obj.c0,)))
-    (c0,) = ints.pop()
-    d, c = ints.pop(), ints.pop()
-    return IntegerInstance(tuple(ints), c, d, c0, scale, isinstance(obj, CutInstance))
+def integer_instance(rows, cut: bool) -> IntegerInstance:
+    """The IntegerInstance of the pair rows (c0,), c, d, q_1 ... q_m of
+    :func:`_scale_pairs`, rewritten by :func:`binary_form` if ``cut``."""
+    ints, scale = _scale_pairs(rows)
+    (c0,), c, d, *q = ints
+    if cut:
+        q, c, d, c0 = binary_form(q, c, d, c0)
+    return IntegerInstance(tuple(q), c, d, c0, scale, cut)
 
 
 @dataclass(frozen=True)
 class _Rational(_Shape):
     """Exact coefficients, each an int or a Fraction, and c0 a Fraction.
 
-    ``integer`` is built on first use; for all-int coefficients it shares
-    the rows of ``q``.
+    ``integer`` is built on first use; for an all-int :class:`Instance`
+    it shares the rows of ``q``.
     """
 
     q: tuple[tuple[int | Fraction, ...], ...]
@@ -187,7 +236,10 @@ class _Rational(_Shape):
     d: tuple[int | Fraction, ...] | None = None
     c0: Fraction = Fraction(0)
 
-    integer = cached_property(_integer_instance)
+    @cached_property
+    def integer(self) -> IntegerInstance:
+        rows = _pairs(((self.c0,), self.c, self.d, *self.q))
+        return integer_instance(rows, isinstance(self, CutInstance))
 
 
 @dataclass(frozen=True)

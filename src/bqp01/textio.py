@@ -13,11 +13,11 @@ exact: optional sign, integer, decimal like -2.5, or rational like 7/3):
 
 Two readers share one tokenizer, which turns plain integers, ``p/q`` and
 plain decimals into (num, den) pairs by hand and leaves any other token to
-``Fraction``.  ``parse_instance`` builds the public rational
+``Fraction``, and one row reader, which converts a row of plain integers
+with one ``map(int, ...)``.  ``parse_instance`` builds the public rational
 :class:`Instance` or :class:`CutInstance`.  ``parse_integer_instance``,
 which the command line solves on, builds the same instance's exact
-:class:`IntegerInstance` without a Fraction per coefficient.  Both convert
-a row of plain integers with one ``map(int, ...)``.
+:class:`IntegerInstance` without a Fraction per coefficient.
 
 Solutions render as three lines: value (exact and decimal), then the x and
 y assignments as bit strings, both as '+'/'-' when either holds a -1.
@@ -26,12 +26,10 @@ y assignments as bit strings, both as '+'/'-' when either holds a -1.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
-from math import gcd, lcm
-from operator import floordiv, mul
+from itertools import chain
 
 from .errors import ParseError
-from .model import CutInstance, Instance, IntegerInstance, Solution
+from .model import CutInstance, Instance, IntegerInstance, Solution, integer_instance
 
 
 def _ratio(token: str, line: int | None = None) -> tuple[int, int]:
@@ -80,16 +78,6 @@ def parse_rational(token: str, line: int | None = None) -> int | Fraction:
     return Fraction(*_ratio(token, line))
 
 
-def _rational_row(tokens: list[str], line: int, body: str) -> list[int | Fraction]:
-    """``parse_rational`` of each token; one ``map(int, ...)`` for an all-int row."""
-    if "_" not in body:
-        try:
-            return list(map(int, tokens))
-        except ValueError:
-            pass
-    return [parse_rational(t, line) for t in tokens]
-
-
 def _integer_row(tokens: list[str], line: int, body: str):
     """(numerators, denominators) of the tokens; denominators None for an all-int row."""
     if "_" not in body:
@@ -97,8 +85,7 @@ def _integer_row(tokens: list[str], line: int, body: str):
             return tuple(map(int, tokens)), None
         except ValueError:
             pass
-    nums, dens = zip(*[_ratio(t, line) for t in tokens])
-    return nums, dens
+    return tuple(zip(*[_ratio(t, line) for t in tokens]))
 
 
 def _content_lines(text: str) -> list[tuple[list[str], int, str]]:
@@ -112,9 +99,9 @@ def _content_lines(text: str) -> list[tuple[list[str], int, str]]:
     return out
 
 
-def _read(text: str, convert) -> tuple[str, list]:
-    """The header, then ``convert(tokens, line, body)`` of the c0, c, d and
-    Q rows in file order, each row checked for its count before converting."""
+def _read(text: str) -> tuple[str, list]:
+    """The header, then ``_integer_row`` of the c0, c, d and Q rows in file
+    order, each row checked for its count before converting."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty input")
@@ -146,7 +133,7 @@ def _read(text: str, convert) -> tuple[str, list]:
 
     shapes = [(1, "constant c0"), (m, "vector c"), (n, "vector d")]
     shapes += [(n, f"row {i + 1} of Q") for i in range(m)]
-    rows = [convert(*take(count, what)) for count, what in shapes]
+    rows = [_integer_row(*take(count, what)) for count, what in shapes]
     if pos < len(lines):
         raise ParseError("trailing content after the matrix", lines[pos][1])
     return header, rows
@@ -154,7 +141,11 @@ def _read(text: str, convert) -> tuple[str, list]:
 
 def parse_instance(text: str) -> Instance | CutInstance:
     """Parse instance text; returns a CutInstance for the bqp11 header."""
-    header, ((c0,), c, d, *q) = _read(text, _rational_row)
+    header, rows = _read(text)
+    (c0,), c, d, *q = [
+        nums if dens is None else [n if k == 1 else Fraction(n, k) for n, k in zip(nums, dens)]
+        for nums, dens in rows
+    ]
     cls = Instance if header == "bqp01" else CutInstance
     return cls(q, c, d, c0)
 
@@ -162,29 +153,13 @@ def parse_instance(text: str) -> Instance | CutInstance:
 def parse_integer_instance(text: str) -> IntegerInstance:
     """Parse instance text straight into its exact integer form.
 
-    Equals ``parse_instance(text).integer``, with ``cut`` set for the bqp11
-    header, but builds no Fraction per coefficient: each token becomes a
-    (num, den) pair, the values are scaled by the lcm S of the raw
-    denominators, and S and the values are divided by their gcd, which
-    leaves S at the least common denominator.  A file of plain integers
-    keeps its rows at scale 1.
+    Equals ``parse_instance(text).integer`` (0-1 coefficients, ``cut`` set
+    for the bqp11 header), but builds no Fraction per coefficient: the
+    model scales the tokens' (num, den) pairs, and keeps the rows of a
+    file of plain integers at scale 1.
     """
-    header, rows = _read(text, _integer_row)
-    dens = {den for _, row_dens in rows if row_dens for den in row_dens}
-    ints = [nums for nums, _ in rows]
-    scale = lcm(*dens)
-    if scale > 1:
-        factor = {den: scale // den for den in dens}.__getitem__
-        ints = [
-            tuple(map(mul, nums, repeat(scale) if row_dens is None else map(factor, row_dens)))
-            for nums, row_dens in rows
-        ]
-        common = gcd(scale, *chain.from_iterable(ints))
-        if common > 1:
-            scale //= common
-            ints = [tuple(map(floordiv, row, repeat(common))) for row in ints]
-    (c0,), c, d, *q = ints
-    return IntegerInstance(tuple(q), c, d, c0, scale, header == "bqp11")
+    header, rows = _read(text)
+    return integer_instance(rows, header == "bqp11")
 
 
 def format_instance(inst: Instance | CutInstance) -> str:

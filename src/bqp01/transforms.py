@@ -16,6 +16,7 @@ from .model import (
     Instance,
     IntegerInstance,
     as_fraction,
+    binary_form,
     freeze_matrix,
     freeze_vector,
 )
@@ -79,25 +80,16 @@ def bqp01_to_cut(inst: Instance) -> CutInstance:
     return CutInstance(q, c, d, c0)
 
 
-def cut_to_bqp01(cut: CutInstance | IntegerInstance) -> Instance | IntegerInstance:
+def cut_to_bqp01(cut: CutInstance) -> Instance:
     """Rewrite a {-1,+1} instance over binary variables.
 
-    The tilde coefficients q~ = 4q, c~_i = 2(c_i - sum_j q_ij),
-    d~_j = 2(d_j - sum_i q_ij), c~0 = sum q - sum c - sum d + c0 satisfy
-    f(w, z) = cut(2w - 1, 2z - 1) for every binary (w, z).  Inverse of
-    :func:`bqp01_to_cut`.  The cut form's integer form (``cut.integer``)
-    gives the 0-1 ``IntegerInstance`` at its own scale, by the same
-    arithmetic on ints.
+    ``model.binary_form`` gives f(w, z) = cut(2w - 1, 2z - 1) for every
+    binary (w, z); inverse of :func:`bqp01_to_cut`.  Raises TypeError on an
+    :class:`IntegerInstance`, which holds this rewrite already.
     """
-    row_sums = [sum(row) for row in cut.q]
-    col_sums = [sum(col) for col in zip(*cut.q)]
-    q = tuple(tuple(4 * v for v in row) for row in cut.q)
-    c = tuple(2 * (ci - s) for ci, s in zip(cut.c, row_sums))
-    d = tuple(2 * (dj - s) for dj, s in zip(cut.d, col_sums))
-    c0 = sum(row_sums) - sum(cut.c) - sum(cut.d) + cut.c0
     if isinstance(cut, IntegerInstance):
-        return IntegerInstance(q, c, d, c0, cut.scale)
-    return Instance(q, c, d, c0)
+        raise TypeError("an IntegerInstance already holds 0-1 coefficients")
+    return Instance(*binary_form(cut.q, cut.c, cut.d, cut.c0))
 
 
 def qp01_to_bqp01(

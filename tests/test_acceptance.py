@@ -21,8 +21,6 @@ from bqp01 import (
     bqp01_to_qp01,
     bqp11h_to_bmaxcut,
     bmaxcut_to_bqp11h,
-    build_cut_network,
-    candidates_from_basis,
     cut_to_bqp01,
     detect_additive,
     enumerate_dual_feasible_bases,
@@ -46,7 +44,9 @@ from bqp01 import (
     ulp_breakpoints,
     BipartiteWeightedGraph,
 )
+from bqp01.fixed_rank import candidates_from_basis
 from bqp01.fixtures import sample_rank_one
+from bqp01.mincut import build_cut_network
 
 from conftest import exhaustive_best, matching_size
 

@@ -11,6 +11,7 @@ import bqp01.cli
 import bqp01.dispatch
 import bqp01.enumeration
 import bqp01.fixed_rank
+import bqp01.model
 from bqp01 import (
     ALGORITHMS,
     CrossValidationError,
@@ -21,11 +22,20 @@ from bqp01 import (
     SolverRefusal,
     analyze,
     bench,
+    detect_additive,
+    detect_nonnegative,
     dispatch_solve,
     evaluate_cut_objective,
     evaluate_objective,
     generate_instance,
     pkp_breakpoints,
+    rank_factorize,
+    solve_additive,
+    solve_enumeration,
+    solve_fixed_rank,
+    solve_nonnegative,
+    solve_oracle,
+    solve_rank_one,
     ulp_breakpoints,
 )
 from bqp01.cli import main
@@ -35,7 +45,7 @@ from bqp01.fixtures import (
     sample_nonnegative,
     sample_rank_one,
 )
-from bqp01.textio import format_instance, parse_instance
+from bqp01.textio import format_instance, parse_instance, parse_integer_instance
 from bqp01.transforms import cut_to_bqp01
 
 from conftest import exhaustive_best, random_instance
@@ -191,13 +201,13 @@ def test_bench_raises_on_disagreement(monkeypatch):
 
 
 def test_wall_time_covers_cut_form_conversion(monkeypatch):
-    real = bqp01.dispatch.cut_to_bqp01
+    real = bqp01.model.binary_form
 
-    def slow(cut):
+    def slow(*coefficients):
         time.sleep(0.2)
-        return real(cut)
+        return real(*coefficients)
 
-    monkeypatch.setattr(bqp01.dispatch, "cut_to_bqp01", slow)
+    monkeypatch.setattr(bqp01.model, "binary_form", slow)
     report = dispatch_solve(CutInstance([[1, -2], [3, 0]], [1, 0], [0, 1], 0))
     assert report.wall_time >= 0.2
 
@@ -263,6 +273,27 @@ def test_cli_dump_breakpoints_of_a_rational_cut_file(tmp_path, capsys):
         expected += f"# {label} track: breakpoint value\n"
         expected += "".join(f"{t} {h}\n" for t, h in zip(track.breakpoints, track.values))
     assert out[out.index("# concave-x") :] == expected
+
+
+def test_cli_dump_converts_and_eliminates_a_cut_file_once(
+    tmp_path, capsys, monkeypatch, full_eliminations
+):
+    plain, cut = tmp_path / "r1.bqp", tmp_path / "r1c.bqp"
+    assert main(["gen", "--kind", "rank1", "-m", "30", "-n", "40", "--seed", "3",
+                 "-o", str(plain)]) == 0
+    assert main(["transform", str(plain), "--to", "cut"]) == 0
+    cut.write_text(capsys.readouterr().out, encoding="utf-8")
+    conversions = []
+    real = bqp01.model.binary_form
+
+    def counted(*coefficients):
+        conversions.append(len(coefficients[0]))
+        return real(*coefficients)
+
+    monkeypatch.setattr(bqp01.model, "binary_form", counted)
+    assert main(["solve", str(cut), "--dump-breakpoints"]) == 0
+    assert "# convex-y track" in capsys.readouterr().out
+    assert conversions == [30] and len(full_eliminations) == 1
 
 
 def test_cli_dump_breakpoints_refuses_rank_two_before_output(tmp_path, capsys):
@@ -666,3 +697,32 @@ def test_cli_integer_reader_prints_what_the_rational_reader_prints(tmp_path, cap
     rational = [_cli(argv, capsys) for argv in commands]
     assert integer == rational
     assert {code for code, _, _ in integer} == {0, 2}
+
+
+def test_lower_level_solvers_read_cut_input_as_its_binary_rewrite():
+    """A public solver given a cut instance, or its bqp11 text read either
+    way, returns the cut optimum at the 0-1 point w = (s + 1) / 2."""
+    rng = random.Random(1107)
+    kinds = ("nonnegative", "sparse-negative", "additive", "rank1", "rank2", "general")
+    for k in range(200):
+        cut = _quartered_cut(rng, kinds[k % len(kinds)], rng.randint(1, 4), rng.randint(1, 4))
+        best = dispatch_solve(cut).solution.value
+        assert best == max(
+            evaluate_cut_objective(cut, x, y)
+            for x in product((-1, 1), repeat=cut.m)
+            for y in product((-1, 1), repeat=cut.n)
+        )
+        text = format_instance(cut)
+        for inst in (cut, parse_instance(text), parse_integer_instance(text)):
+            solutions = [solve_oracle(inst), solve_enumeration(inst), solve_fixed_rank(inst)]
+            # Structure of the 0-1 form 4q read off the cut form's q.
+            if detect_nonnegative(cut.q):
+                solutions.append(solve_nonnegative(inst))
+            if detect_additive(cut.q) is not None:
+                solutions.append(solve_additive(inst))
+            if rank_factorize(cut.q).p <= 1:
+                solutions.append(solve_rank_one(RankOneForm.from_instance(inst)))
+            for sol in solutions:
+                assert sol.value == best, (inst, sol)
+                x, y = (tuple(2 * v - 1 for v in vec) for vec in (sol.x, sol.y))
+                assert evaluate_cut_objective(cut, x, y) == best, (inst, sol)

@@ -13,7 +13,6 @@ from bqp01 import (
     SolverRefusal,
     SplitMix64,
     best_y_for_x,
-    candidates_from_basis,
     enumerate_dual_feasible_bases,
     rank_factorize,
     solve_fixed_rank,
@@ -23,6 +22,7 @@ from bqp01 import (
 )
 from bqp01 import fixed_rank
 from bqp01.fixed_rank import (
+    candidates_from_basis,
     integer_inverse,
     reduced_cost_sign,
 )

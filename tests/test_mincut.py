@@ -6,20 +6,22 @@ import pytest
 
 from bqp01 import (
     Eliminator,
-    FlowNetwork,
     Instance,
     Solution,
     SolverRefusal,
-    build_cut_network,
     evaluate_objective,
-    max_flow,
     min_negative_eliminator,
-    reduce_with_fixing,
     solve_nonnegative,
     solve_with_eliminator,
 )
 from bqp01.fixtures import sample_general, sample_nonnegative
-from bqp01.mincut import _fixing_optima
+from bqp01.mincut import (
+    FlowNetwork,
+    _fixing_optima,
+    build_cut_network,
+    max_flow,
+    reduce_with_fixing,
+)
 
 from conftest import exhaustive_best, random_instance, random_matrix, random_vector
 

@@ -7,14 +7,12 @@ from bqp01 import (
     ALGORITHMS,
     BipartiteWeightedGraph,
     CutInstance,
-    FlowNetwork,
     Instance,
     RankOneForm,
     dispatch_solve,
     evaluate_cut_objective,
     evaluate_objective,
     format_instance,
-    max_flow,
     min_negative_eliminator,
     normalize_orientation,
     parse_instance,
@@ -30,6 +28,7 @@ from bqp01 import (
     ulp_breakpoints,
 )
 from bqp01.fixtures import sample_general, sample_rank_one
+from bqp01.mincut import FlowNetwork, max_flow
 
 from conftest import random_instance
 

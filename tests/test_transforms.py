@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import lcm
 
 import pytest
 
@@ -76,17 +77,19 @@ def test_binary_rewrite_on_ints_keeps_the_cut_scale():
         )
         work = cut.integer
         assert work.cut and not Instance(cut.q, cut.c, cut.d, cut.c0).integer.cut
-        binary = cut_to_bqp01(work)
-        assert not binary.cut and binary.scale == work.scale
+        values = [*chain.from_iterable(cut.q), *cut.c, *cut.d, cut.c0]
+        assert work.scale == lcm(*(Fraction(v).denominator for v in values))
         rational = cut_to_bqp01(cut)
         for ints, exact in zip(
-            (*binary.q, binary.c, binary.d, (binary.c0,)),
+            (*work.q, work.c, work.d, (work.c0,)),
             (*rational.q, rational.c, rational.d, (rational.c0,)),
         ):
             assert tuple(Fraction(v, work.scale) for v in ints) == exact
         for w, z in all_points(m, n):
-            assert Fraction(binary.objective(w, z), binary.scale) == \
+            assert Fraction(work.objective(w, z), work.scale) == \
                 evaluate_cut_objective(cut, signs_of(w), signs_of(z))
+        with pytest.raises(TypeError, match="already holds 0-1"):
+            cut_to_bqp01(work)
 
 
 def test_cut_rewrite_identity_everywhere():
