@@ -124,15 +124,18 @@ def dispatch_solve(
     from the objective at its point raises CrossValidationError.
     ``wall_time`` times the whole call, conversions and that check too.
     """
+    start = time.perf_counter()
+    return _solve(analyze(inst), algorithm, start, p_limit, enum_limit, eliminator_limit)
+
+
+def _solve(found: AnalysisReport, algorithm: str, start: float, *limits: int) -> SolveReport:
+    """``dispatch_solve`` on a made report and its three limits, timed from ``start``."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-
-    start = time.perf_counter()
-    found = analyze(inst)
     work = found.work
     if algorithm == "auto":
-        algorithm = _auto_route(found, p_limit, enum_limit, eliminator_limit)
-    detected, solution = _run(found, algorithm, p_limit, enum_limit, eliminator_limit)
+        algorithm = _auto_route(found, *limits)
+    detected, solution = _run(found, algorithm, *limits)
 
     x, y = solution.x, solution.y
     if work.objective(x, y) != solution.value * work.scale:
@@ -222,18 +225,28 @@ class BenchRow:
 def bench(
     instances: list[tuple[str, Instance | CutInstance | IntegerInstance]],
     algorithms: list[str],
-    **limits,
+    *,
+    p_limit: int = fixed_rank.DEFAULT_P_LIMIT,
+    enum_limit: int = enumeration.DEFAULT_ENUM_LIMIT,
+    eliminator_limit: int = mincut.DEFAULT_ELIMINATOR_LIMIT,
 ) -> list[BenchRow]:
     """Run each algorithm on each instance; fail if optima disagree.
 
     This is the cross-validation harness: a disagreement between two exact
-    solvers is a bug, reported as CrossValidationError.
+    solvers is a bug, reported as CrossValidationError.  Every algorithm
+    runs on one ``analyze`` report per instance, so each detector runs once.
+    ``BenchRow.wall_time`` covers the route choice, the solver, the objective
+    check and each detector in the first row that reads it; the integer
+    conversion and orientation precede the rows, untimed.
     """
     rows: list[BenchRow] = []
     for name, inst in instances:
+        found = analyze(inst)
         values: dict[str, Fraction] = {}
         for algorithm in algorithms:
-            report = dispatch_solve(inst, algorithm, **limits)
+            report = _solve(
+                found, algorithm, time.perf_counter(), p_limit, enum_limit, eliminator_limit
+            )
             rows.append(
                 BenchRow(name, algorithm, report.solution.value, report.wall_time)
             )

@@ -17,13 +17,19 @@ s-t cut computation, solved exactly by Dinic's blocking-flow algorithm.
 
 Matrices with scattered negative entries are handled by fixing the
 variables of a negative eliminator to all 0/1 combinations and taking the
-best of the 2^|eliminator| min cuts.  One network over the free rows and
-columns serves every fixing: Gray-code order flips one variable per step,
-which rewrites only the terminal arcs of the free nodes it touches, and
-the previous flow is kept.  Where a capacity drops below its flow, the
-same delta goes onto both terminal arcs of that node, which raises every
-cut alike (Kohli and Torr's reparameterization).  ``reduce_with_fixing``
-is the from-scratch form of one fixing.
+best of the 2^|eliminator| min cuts, on one warm-started network over the
+free rows and columns (see :func:`solve_with_eliminator`).
+
+Before that network is built, bounds decide the free variables that take
+one value in every optimum of every fixing (first-order persistency;
+Hammer, Hansen and Simeone, Math. Programming 28, 1984).  The free block
+is nonnegative, so x_i's gain c_i + sum_j q_ij y_j lies between c_i plus
+q on free columns decided 1 and the negative q on eliminator columns, and
+c_i plus q on free columns not decided 0 and the positive q there; y_j's
+alike.  A lower bound > 0 decides 1, an upper bound < 0 decides 0, and
+decisions move the other side's bounds until none changes, O(mn) in all.
+Both tests are strict: a variable whose gain can be 0 stays in the
+network, whose minimal min cut picks each fixing's smallest optimum.
 
 The solvers build their networks from ``Instance.integer``, so every
 capacity is an int; :func:`max_flow` is the rational interface.  All of
@@ -180,27 +186,28 @@ def _terminal_caps(row_sum: int, linear: int) -> tuple[int, int]:
     return row_sum + (linear if linear > 0 else 0), (-linear if linear < 0 else 0)
 
 
-def _provisioning_arcs(q, rows, cols, linear) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Arcs of the provisioning network over ``rows`` x ``cols`` of q.
+def _nonnegative_block(q, rows, cols=None) -> list:
+    """Rows ``rows`` of q on ``cols`` (all when None); ValueError on a negative entry."""
+    block = [q[i] if cols is None else [q[i][j] for j in cols] for i in rows]
+    if any(min(row, default=0) < 0 for row in block):
+        raise ValueError("cost matrix has a negative entry")
+    return block
 
-    Node 0 is the source, 1 the sink, 2 + p the p-th of rows then cols,
-    whose linear coefficient is ``linear[p]``.
+
+def _provisioning_arcs(block, linear) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Arcs of the provisioning network of a nonnegative block of q.
+
+    Node 0 is the source, 1 the sink, 2 + p the p-th of the block's rows
+    then columns, whose linear coefficient is ``linear[p]``.
     Arcs 2p and 2p + 1 are node 2 + p's source and sink arcs, present even
     at capacity 0 so the eliminator walk can rewrite them; the q arcs
-    follow.  Also returns each node's row sum (0 for columns).  Raises
-    ValueError on a negative entry in the selected block.
+    follow.  Also returns each node's row sum (0 for columns).
     """
-    first_col = 2 + len(rows)
-    row_sums = []
-    pair_arcs = []
-    for a, i in enumerate(rows):
-        row = q[i]
-        entries = [row[j] for j in cols]
-        if any(v < 0 for v in entries):
-            raise ValueError("cost matrix has a negative entry")
-        row_sums.append(sum(entries))
-        pair_arcs.extend((2 + a, first_col + b, v) for b, v in enumerate(entries) if v)
-    row_sums += [0] * len(cols)
+    first_col = 2 + len(block)
+    row_sums = [sum(row) for row in block] + [0] * (len(linear) - len(block))
+    pair_arcs = [
+        (2 + a, first_col + b, v) for a, row in enumerate(block) for b, v in enumerate(row) if v
+    ]
     arcs = []
     for p, (row_sum, lin) in enumerate(zip(row_sums, linear)):
         to_node, to_sink = _terminal_caps(row_sum, lin)
@@ -215,7 +222,7 @@ def build_cut_network(inst: Instance) -> tuple[FlowNetwork, Fraction]:
     labeling "source side = variable 1" the induced cut capacity equals
     offset - f(x, y).  Raises ValueError on a negative matrix entry.
     """
-    arcs, _ = _provisioning_arcs(inst.q, range(inst.m), range(inst.n), (*inst.c, *inst.d))
+    arcs, _ = _provisioning_arcs(_nonnegative_block(inst.q, range(inst.m)), (*inst.c, *inst.d))
     offset = sum(w for u, _, w in arcs if u == 0)
     return (
         FlowNetwork(2 + inst.m + inst.n, 0, 1, tuple(a for a in arcs if a[2])),
@@ -338,6 +345,7 @@ def solve_with_eliminator(
     minimum cuts stay the same sets, and the flow is feasible again.  Each
     fixing then augments only along the paths its change opened, and gets
     the same (value, x, y) as a fresh solve of :func:`reduce_with_fixing`.
+    Free variables decided by bounds (module docstring) get no node.
     """
     if elim.size > eliminator_limit:
         raise SolverRefusal(
@@ -351,45 +359,87 @@ def solve_with_eliminator(
 
 def _best_fixing(work: IntegerInstance, elim: Eliminator) -> Solution:
     """The best of the fixings' optima; ties take the smallest (x, y)."""
-    best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
-    for value, x, y in _fixing_optima(work, elim):
-        if best is None or value > best[0] or (value == best[0] and (x, y) < best[1:]):
-            best = (value, x, y)
-    assert best is not None
-    return Solution(best[1], best[2], Fraction(best[0], work.scale))
+    value, x, y = min(_fixing_optima(work, elim), key=lambda opt: (-opt[0], opt[1], opt[2]))
+    return Solution(x, y, Fraction(value, work.scale))
+
+
+def _persistent(block, n, linear, spans) -> list[int | None]:
+    """The value every optimum of every fixing gives each free node, or None.
+
+    Nodes are ``block``'s rows, then its n columns; ``spans[p]`` is node p's
+    q on eliminator lines.  ``linear`` gains the q of the nodes decided 1.
+    """
+    m = len(block)
+    lines = block + (list(zip(*block)) if block else [()] * n)
+    open_ = [sum(line) for line in lines]
+    least = [sum(v for v in span if v < 0) for span in spans]
+    most = [sum(v for v in span if v > 0) for span in spans]
+    vals: list[int | None] = [None] * (m + n)
+    while True:
+        left = vals.count(None)
+        for own, other in ((range(m), m), (range(m, m + n), 0)):
+            undecided = [p for p in own if vals[p] is None]
+            for value, decided in (
+                (1, [p for p in undecided if linear[p] + least[p] > 0]),
+                (0, [p for p in undecided if linear[p] + open_[p] + most[p] < 0]),
+            ):
+                for p in decided:
+                    vals[p] = value
+                for k, v in enumerate(map(sum, zip(*(lines[p] for p in decided))), other):
+                    open_[k] -= v
+                    linear[k] += value * v
+        if vals.count(None) == left:
+            return vals
 
 
 def _fixing_optima(work: IntegerInstance, elim: Eliminator):
     """(value, x, y) of each fixing's minimal optimum, in Gray-code order.
 
-    Values are in the units of ``work``.  The free part of x and y is the
-    residual source side, the minimal minimum cut.  With S the source-arc
-    capacities, raised as :func:`solve_with_eliminator` describes,
-    f = constant + sum S - cut for every labeling, so the fixing's value
-    is constant + sum S - max flow.
+    Values are in the units of ``work``.  Free nodes that
+    :func:`_persistent` decides are folded in; the part of x and y on the
+    rest is the residual source side, the minimal minimum cut.  With S the
+    source-arc capacities, raised as :func:`solve_with_eliminator`
+    describes, f = constant + sum S - cut for every labeling, so the
+    fixing's value is constant + sum S - max flow.
     """
     q, c, d = work.q, work.c, work.d
     fixed_rows, fixed_cols = set(elim.rows), set(elim.cols)
     rows = [i for i in range(work.m) if i not in fixed_rows]
     cols = [j for j in range(work.n) if j not in fixed_cols]
+    block = _nonnegative_block(q, rows, cols if elim.cols else None)
     linear = [c[i] for i in rows] + [d[j] for j in cols]
-    arcs, row_sums = _provisioning_arcs(q, rows, cols, linear)
+    spans = [[q[i][j] for j in elim.cols] for i in rows]
+    spans += [[q[i][j] for i in elim.rows] for j in cols]
+    vals = _persistent(block, len(cols), linear, spans)
+    x, y = [0] * work.m, [0] * work.n
+    nodes = [(x, i) for i in rows] + [(y, j) for j in cols]
+    constant = work.c0
+    for (vec, k), value, lin in zip(nodes, vals, linear):
+        if value:
+            vec[k] = 1
+            constant += lin if vec is y else c[k]
+    keep = [p for p, v in enumerate(vals) if v is None]
+    if len(keep) < len(vals):
+        keep_y = [p - len(rows) for p in keep if p >= len(rows)]
+        block = [[block[a][b] for b in keep_y] for a in keep if a < len(rows)]
+    nodes, linear = [nodes[p] for p in keep], [linear[p] for p in keep]
+    arcs, row_sums = _provisioning_arcs(block, linear)
     graph = _FlowGraph(2 + len(linear), 0, 1, arcs)
     cap = graph.cap
-    first_col = len(rows)
-    x, y = [0] * work.m, [0] * work.n
-    # Per eliminator variable: where it lives, its own linear term, its q
-    # entries on free nodes, and those shared with the other eliminator side.
+    # Per eliminator variable: where it lives, its own linear term with the
+    # free variables decided 1 folded in, its q entries on the network's
+    # nodes, and those shared with the other eliminator side.
     flips = [
-        (x, i, c[i], [(first_col + b, q[i][j]) for b, j in enumerate(cols) if q[i][j]],
+        (x, i, c[i] + sum(q[i][j] for j in range(work.n) if y[j]),
+         [(p, q[i][k]) for p, (vec, k) in enumerate(nodes) if vec is y and q[i][k]],
          [(y, j, q[i][j]) for j in elim.cols])
         for i in elim.rows
     ] + [
-        (y, j, d[j], [(p, q[i][j]) for p, i in enumerate(rows) if q[i][j]],
+        (y, j, d[j] + sum(q[i][j] for i in range(work.m) if x[i]),
+         [(p, q[k][j]) for p, (vec, k) in enumerate(nodes) if vec is x and q[k][j]],
          [(x, i, q[i][j]) for i in elim.rows])
         for j in elim.cols
     ]
-    constant = work.c0
     source_total = sum(w for u, _, w in arcs if u == 0)
     flow = 0
     for step in range(1 << elim.size):
@@ -408,9 +458,6 @@ def _fixing_optima(work: IntegerInstance, elim: Eliminator):
                 cap[s_arc] = to_node + extra - s_flow
                 cap[t_arc] = to_sink + extra - t_flow
         flow += graph.augment()
-        level = graph.level
-        for p, i in enumerate(rows):
-            x[i] = 1 if level[2 + p] >= 0 else 0
-        for b, j in enumerate(cols):
-            y[j] = 1 if level[2 + first_col + b] >= 0 else 0
+        for (vec, k), lv in zip(nodes, graph.level[2:]):
+            vec[k] = 1 if lv >= 0 else 0
         yield constant + source_total - flow, tuple(x), tuple(y)

@@ -186,18 +186,34 @@ def test_bench_checks_agreement():
 
 
 def test_bench_raises_on_disagreement(monkeypatch):
-    real = dispatch_solve
+    real = bqp01.dispatch._solve
 
-    def fake(inst, algorithm="auto", **kw):
-        report = real(inst, algorithm, **kw)
+    def fake(found, algorithm, *args):
+        report = real(found, algorithm, *args)
         if algorithm == "enum":
             wrong = Solution(report.solution.x, report.solution.y, report.solution.value + 1)
             return type(report)(wrong, report.algorithm, report.detected, report.wall_time)
         return report
 
-    monkeypatch.setattr(bqp01.dispatch, "dispatch_solve", fake)
+    monkeypatch.setattr(bqp01.dispatch, "_solve", fake)
     with pytest.raises(CrossValidationError, match="disagree"):
         bench([("bad", sample_general())], ["oracle", "enum"])
+
+
+def test_bench_analyzes_each_instance_once(monkeypatch):
+    calls = []
+    real = bqp01.dispatch.detect_additive
+
+    def counted(q):
+        calls.append(len(q))
+        return real(q)
+
+    monkeypatch.setattr(bqp01.dispatch, "detect_additive", counted)
+    inst = generate_instance("additive", 30, 40, 1)
+    rows = bench([("a", inst)], ["auto", "additive"])
+    assert len(calls) == 1
+    assert [row.algorithm for row in rows] == ["auto", "additive"]
+    assert rows[0].value == rows[1].value == solve_additive(inst).value
 
 
 def test_wall_time_covers_cut_form_conversion(monkeypatch):

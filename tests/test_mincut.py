@@ -1,17 +1,24 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bqp01.mincut
 from bqp01 import (
     Eliminator,
     Instance,
     Solution,
     SolverRefusal,
+    dispatch_solve,
     evaluate_objective,
+    generate_instance,
     min_negative_eliminator,
     solve_nonnegative,
+    solve_oracle,
     solve_with_eliminator,
 )
 from bqp01.fixtures import sample_general, sample_nonnegative
@@ -275,3 +282,80 @@ def test_eliminator_leaving_a_negative_entry_is_rejected():
     for elim in (Eliminator((), ()), Eliminator((0,), ()), Eliminator((), (1,))):
         with pytest.raises(ValueError, match="negative entry"):
             solve_with_eliminator(inst, elim)
+
+
+@pytest.fixture
+def network_sizes(monkeypatch):
+    """Node count of every flow network the min-cut solvers build."""
+    sizes = []
+    real = bqp01.mincut._FlowGraph
+
+    def recording(node_count, *args):
+        sizes.append(node_count)
+        return real(node_count, *args)
+
+    monkeypatch.setattr(bqp01.mincut, "_FlowGraph", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("algorithm", ["mincut", "auto"])
+def test_zero_gain_bounds_leave_the_variable_free(algorithm, network_sizes):
+    # x's gain is 0 when y = 1, and y's is 0 when x = 1: neither is decided,
+    # and the minimal optimum sets both to 0.
+    for inst in (Instance([[1]], [-1], [0], 0), Instance([[0]], [0], [0], 0)):
+        sol = dispatch_solve(inst, algorithm).solution
+        assert (sol.x, sol.y, sol.value) == ((0,), (0,), 0)
+    assert network_sizes == [4, 4]  # source, sink, x and y
+
+
+def test_negative_entry_is_rejected_even_when_every_variable_is_decided():
+    inst = Instance([[5, -1]], [100], [100, 100], 0)
+    with pytest.raises(ValueError, match="negative entry"):
+        solve_nonnegative(inst)
+    with pytest.raises(ValueError, match="negative entry"):
+        solve_with_eliminator(inst, Eliminator((), ()))
+
+
+def test_decided_variables_get_no_network_node(network_sizes):
+    # The generator's nonnegative instances are optimal at all ones: about
+    # half the rows have c_i > 0, which decides them, then every column, then
+    # every other row.
+    for seed in range(5):
+        inst = generate_instance("nonnegative", 40, 40, seed)
+        ones = (1,) * 40
+        assert solve_nonnegative(inst) == Solution(ones, ones, evaluate_objective(inst, ones, ones))
+    assert network_sizes == [2] * 5  # source and sink only
+    net, offset = build_cut_network(inst)
+    assert offset - max_flow(net)[0] == evaluate_objective(inst, ones, ones)
+
+
+@st.composite
+def scaled_linear_nonnegative(draw):
+    """Nonnegative q with c_i = -alpha * (row sum) + noise and d_j alike.
+
+    Bounds decide most variables at alpha 0 (to 1) and 1 (to 0), about a
+    quarter at 1/4, and almost none at 1/2.
+    """
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    q = [[draw(st.integers(0, 8)) for _ in range(n)] for _ in range(m)]
+    alpha = draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    noise = st.integers(-2, 2)
+    c = [draw(noise) - floor(alpha * sum(row)) for row in q]
+    d = [draw(noise) - floor(alpha * sum(col)) for col in zip(*q)]
+    return Instance(q, c, d, draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scaled_linear_nonnegative())
+def test_min_cut_returns_the_componentwise_minimal_optimum(inst):
+    best = solve_oracle(inst).value
+    optima = [
+        x + y
+        for x in product((0, 1), repeat=inst.m)
+        for y in product((0, 1), repeat=inst.n)
+        if evaluate_objective(inst, x, y) == best
+    ]
+    meet = tuple(map(min, zip(*optima)))
+    for sol in (solve_nonnegative(inst), solve_with_eliminator(inst, Eliminator((), ()))):
+        assert sol.value == best
+        assert sol.x + sol.y == meet
