@@ -151,8 +151,11 @@ def detect_additive(matrix: Sequence[Sequence]) -> AdditiveDecomposition | None:
 
 
 def detect_nonnegative(matrix: Sequence[Sequence]) -> bool:
-    """True iff every entry of the matrix is >= 0."""
-    return all(v >= 0 for row in matrix for v in row)
+    """True iff every entry of the matrix is >= 0.
+
+    One C-level ``min`` per row, stopping at the first row with a negative.
+    """
+    return all(min(row, default=0) >= 0 for row in matrix)
 
 
 def min_negative_eliminator(matrix: Sequence[Sequence]) -> Eliminator:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import floordiv, mul
 from typing import Sequence, Union
@@ -209,8 +209,13 @@ class IntegerInstance(_Shape):
         return RankFactorization(len(pivots), left, tuple(map(tuple, rows[: len(pivots)])), det)
 
     def objective(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """Scale times the original objective at the binary point (x, y)."""
-        return _bilinear_value(self.q, self.c, self.d, self.c0, x, y)
+        """Scale times the original objective at the 0-1 point (x, y).
+
+        Sums the chosen entries with ``compress``; points are 0-1 here even
+        for a cut-form instance, whose signs are mapped after the check.
+        """
+        return (self.c0 + sum(compress(self.d, y)) + sum(compress(self.c, x))
+                + sum(sum(compress(row, y)) for row in compress(self.q, x)))
 
 
 def integer_instance(rows, cut: bool) -> IntegerInstance:

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
+from bqp01 import additive as additive_mod
 from bqp01 import (
     Instance,
     Solution,
@@ -13,6 +14,7 @@ from bqp01 import (
     solve_fixed_rank,
 )
 from bqp01.fixtures import sample_additive
+from bqp01.generate import generate_instance
 
 from conftest import exhaustive_best, random_vector
 
@@ -148,3 +150,135 @@ def test_tie_rule_matches_reference():
         sol = solve_additive(inst)
         assert sol == tie_rule_reference(inst)
         assert sol.value == exhaustive_best(inst)
+
+
+def plain_scan(inst):
+    """The cardinality scan over every variable, with no persistency pass:
+    the same (K, L) tie rule and stable top-k selections."""
+    work = inst.integer
+    a = [row[0] for row in work.q]
+    b = [v - work.q[0][0] for v in work.q[0]]
+
+    def keys(count, rates, offsets):
+        return [count * r + o for r, o in zip(rates, offsets)]
+
+    def best_sums(values):
+        return list(accumulate(sorted(values, reverse=True), initial=0))
+
+    def top(count, values):
+        chosen = set(sorted(range(len(values)), key=lambda i: -values[i])[:count])
+        return tuple(int(i in chosen) for i in range(len(values)))
+
+    y_sums = [best_sums(keys(l, b, work.d)) for l in range(work.m + 1)]
+    best = None
+    for k in range(work.n + 1):
+        totals = [s + y_sums[l][k] for l, s in enumerate(best_sums(keys(k, a, work.c)))]
+        if best is None or max(totals) > best[0]:
+            best = (max(totals), k, totals.index(max(totals)))
+    total, k, l = best
+    return Solution(top(l, keys(k, a, work.c)), top(k, keys(l, b, work.d)),
+                    Fraction(total + work.c0, work.scale))
+
+
+def planted_tie_instance(rng, m, n, scale=1):
+    """Additive instance from few distinct a_i and b_j (so keys tie often),
+    with one of: c = k a, c = 0, d = 0, or gain bounds of exactly zero."""
+    a = [scale * rng.randint(-2, 2) for _ in range(m)]
+    b = [scale * rng.randint(-2, 2) for _ in range(n)]
+    q = [[ai + bj for bj in b] for ai in a]
+    c = [scale * rng.randint(-3, 3) for _ in range(m)]
+    d = [scale * rng.randint(-3, 3) for _ in range(n)]
+    kind = rng.randrange(5)
+    if kind == 0:
+        k = rng.randint(-n, n)
+        c = [k * ai for ai in a]
+    elif kind == 1:
+        c = [0] * m
+    elif kind == 2:
+        d = [0] * n
+    elif kind == 3:
+        c = [-sum(min(0, v) for v in row) for row in q]
+    else:
+        d = [-sum(max(0, v) for v in col) for col in zip(*q)]
+    return Instance(q, c, d, rng.randint(-3, 3))
+
+
+def undecidable_instance(inst):
+    """``inst`` with c_i = -floor(row sum / 2) and d_j likewise: every gain
+    bound straddles 0, so the persistency pass decides nothing."""
+    return Instance(inst.q, [-(sum(row) // 2) for row in inst.q],
+                    [-(sum(col) // 2) for col in zip(*inst.q)], inst.c0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_persistency_keeps_the_plain_scan_answer_on_random_instances(seed):
+    rng = random.Random(80 + seed)
+    for _ in range(6):
+        m = rng.randint(10, 40)
+        inst = random_additive_instance(rng, m, rng.randint(15, 60), -30, 30)
+        assert solve_additive(inst) == plain_scan(inst)
+
+
+def test_persistency_keeps_the_plain_scan_answer_under_planted_ties():
+    rng = random.Random(84)
+    for trial in range(400):
+        if trial < 300:
+            inst = planted_tie_instance(rng, rng.randint(1, 4), rng.randint(1, 4))
+            sol = solve_additive(inst)
+            assert sol.value == exhaustive_best(inst)
+        else:
+            inst = planted_tie_instance(rng, rng.randint(10, 30), rng.randint(15, 40))
+            sol = solve_additive(inst)
+        assert sol == plain_scan(inst)
+
+
+def test_persistency_keeps_the_plain_scan_answer_above_two_to_the_53():
+    rng = random.Random(85)
+    big = 2 ** 60 + 1
+    for trial in range(60):
+        if trial % 2:
+            inst = planted_tie_instance(rng, rng.randint(1, 20), rng.randint(1, 30), big)
+        else:
+            inst = random_additive_instance(rng, rng.randint(1, 20), rng.randint(1, 30), -big, big)
+        sol = solve_additive(inst)
+        assert sol == plain_scan(inst)
+        if inst.m + inst.n <= 8:
+            assert sol.value == exhaustive_best(inst)
+
+
+@pytest.fixture
+def scan_sizes(monkeypatch):
+    """(rows, columns) of every sub-instance the cardinality scan runs on."""
+    sizes = []
+    real = additive_mod._scan
+
+    def recording(a, b, c, d):
+        sizes.append((len(a), len(b)))
+        return real(a, b, c, d)
+
+    monkeypatch.setattr(additive_mod, "_scan", recording)
+    return sizes
+
+
+def test_persistency_keeps_the_plain_scan_answer_when_nothing_is_decided(scan_sizes):
+    rng = random.Random(86)
+    for _ in range(10):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        for inst in (random_additive_instance(rng, m, n), random_additive_instance(rng, 3 * m, 10 * n)):
+            inst = undecidable_instance(inst)
+            scan_sizes.clear()
+            sol = solve_additive(inst)
+            assert scan_sizes == [(inst.m, inst.n)]
+            assert sol == plain_scan(inst)
+            if inst.m + inst.n <= 8:
+                assert sol.value == exhaustive_best(inst)
+
+
+def test_decided_variables_are_not_scanned(scan_sizes):
+    # The generator's linear terms are small next to n |q|, so bounds decide
+    # nearly every variable.
+    for seed in (1, 7, 11):
+        inst = generate_instance("additive", 60, 80, seed=seed)
+        assert solve_additive(inst) == plain_scan(inst)
+    assert len(scan_sizes) == 3
+    assert all(m + n < (60 + 80) // 4 for m, n in scan_sizes)
