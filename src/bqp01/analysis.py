@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from .model import clear_denominators, freeze_matrix
@@ -122,15 +123,19 @@ def rank_factorize(matrix: Sequence[Sequence]) -> RankFactorization:
 def additive_mismatch(q: Sequence[Sequence]) -> tuple[int, int] | None:
     """First (i, j) with q_ij - q_i0 - q_0j + q_00 != 0, else None.
 
-    None exactly when q_ij = a_i + b_j for some vectors a and b.
+    None exactly when q_ij = a_i + b_j for some vectors a and b.  Each row
+    is tested at C speed, by the number of distinct q_ij - q_0j; only a
+    failing row is walked to find its first mismatching entry.
     """
     top = q[0]
     base = top[0]
-    for i, row in enumerate(q):
-        shift = row[0] - base
-        for j, (v, t) in enumerate(zip(row, top)):
-            if v != t + shift:
-                return (i, j)
+    for i in range(1, len(q)):
+        row = q[i]
+        if len(set(map(sub, row, top))) > 1:
+            shift = row[0] - base
+            for j, (v, t) in enumerate(zip(row, top)):
+                if v != t + shift:
+                    return (i, j)
     return None
 
 
