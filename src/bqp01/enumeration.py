@@ -58,6 +58,33 @@ def _column_gains(work: IntegerInstance, x: Sequence[int]) -> tuple[list[int], i
     return gains, base
 
 
+def pack_column_gains(work: IntegerInstance) -> tuple[list[int], int, int, int, int, int]:
+    """The packing of the n column gains d_j + sum_i q_ij x_i into one int.
+
+    Returns (rows, packed, top, shift, low, modulus): rows[i] is row i of q
+    as one signed int of W-bit fields, packed holds the gains at x = 0
+    (each field raised by 2^(w-1)), and a packed P = packed + sum of the
+    rows of the set x_i has positive gain sum
+    (P & ((P & top) >> shift) * low) % modulus.
+    """
+    q, d = work.q, work.d
+    bound = max(map(add, map(abs, d), (sum(map(abs, col)) for col in zip(*q))))
+    shift = bound.bit_length() + 1
+    bias = 1 << shift
+    size = (shift + work.n.bit_length() + 9) // 8
+    unit = int.from_bytes((b"\1" + bytes(size - 1)) * work.n, "little")
+
+    def pack(values, offset):
+        return int.from_bytes(
+            b"".join([(v + offset).to_bytes(size, "little") for v in values]), "little"
+        )
+
+    # rows[i] is sum_j q_ij 2^(jW): packed with each entry raised by the
+    # bound to make it nonnegative, then lowered as one int.
+    rows = [pack(row, bound) - bound * unit for row in q]
+    return rows, pack(d, bias), bias * unit, shift, bias - 1, (1 << 8 * size) - 1
+
+
 def solve_enumeration(
     inst: Instance | IntegerInstance, enum_limit: int = DEFAULT_ENUM_LIMIT
 ) -> Solution:
@@ -79,25 +106,8 @@ def solve_enumeration(
             limit=enum_limit,
             measured=m,
         )
-    q, c, d = work.q, work.c, work.d
-    bound = max(map(add, map(abs, d), (sum(map(abs, col)) for col in zip(*q))))
-    shift = bound.bit_length() + 1
-    bias = 1 << shift
-    size = (shift + work.n.bit_length() + 9) // 8
-    modulus = (1 << 8 * size) - 1
-    unit = int.from_bytes((b"\1" + bytes(size - 1)) * work.n, "little")
-
-    def pack(values, offset):
-        return int.from_bytes(
-            b"".join([(v + offset).to_bytes(size, "little") for v in values]), "little"
-        )
-
-    # rows[i] is sum_j q_ij 2^(jW): packed with each entry raised by the
-    # bound to make it nonnegative, then lowered as one int.
-    rows = [pack(row, bound) - bound * unit for row in q]
-    packed = pack(d, bias)
-    top = bias * unit
-    low = bias - 1
+    c, d = work.c, work.d
+    rows, packed, top, shift, low, modulus = pack_column_gains(work)
     linear = 0
     mask = 0
     best_value = sum(g for g in d if g > 0)

@@ -11,12 +11,25 @@ basis's unique lower/upper split from reduced-cost signs, and emitting the
 2^p corner vectors per structure yields a candidate set of at most
 C(m,p) * 2^p binary vectors that provably contains an optimal x.
 
-The reduced costs of a basis come from one dual price vector
-pi = c_B^T adj(B), computed once per basis, so each nonbasic sign costs
-O(p).  Each candidate is the sign vector of a cell of the arrangement of
-the m hyperplanes c_i + L_i.u = 0 in R^p, and a cell is the corner of
-every basis (vertex) on its boundary, so most candidates repeat; each
-distinct x is scored once.
+Bases are visited depth-first in `combinations` order.  The walk keeps
+the minors of the chosen rows of V = [L | c] on every subset of V's p + 1
+columns and extends them by Laplace expansion along each added row, so
+it never divides.  At a basis B the signed cofactors gamma of a (p+1)-th
+row give det [V_B; V_j] = gamma.V_j, which is 0 at basic j, and
+gamma_p = det(L_B).  Scaled to gamma_p = -|det(L_B)|, gamma is therefore
+(pi, -|det|) with pi the basis's dual price vector c_B^T adj(L_B^T), and
+the det-scaled reduced cost pi.L_j - |det| c_j of every j is one dot
+product of length p + 1.  The interior nodes are at most the sum over
+k < p of C(m, k) row subsets; a basis costs (p + 1) p multiplies and m
+dot products.
+
+Each candidate is the sign vector of a cell of the arrangement of the m
+hyperplanes c_i + L_i.u = 0 in R^p, the cells that Allemand, Fukuda,
+Liebling & Steiner (Math. Programming 91, 2001) enumerate for fixed-rank
+0-1 quadratic programs.  A cell is the corner of every basis (vertex) on
+its boundary, so most candidates repeat; candidates are kept as int masks
+and each distinct x is scored once, on the packed column gains of
+`enumeration.pack_column_gains`.
 
 Degenerate (zero) reduced costs are resolved by a symbolic lexicographic
 perturbation of the objective vector, c_i -> c_i + eps^i for an
@@ -30,12 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
-from operator import mul
+from operator import itemgetter, mul, neg
 from typing import Sequence
 
 from .analysis import bareiss
+from .enumeration import best_y_for_x, pack_column_gains
 from .errors import SolverRefusal
 from .model import (
     IntegerInstance,
@@ -106,6 +120,32 @@ def reduced_cost_sign(
     return 1 if base > 0 else -1
 
 
+def _laplace_terms(p: int) -> list[list[tuple]]:
+    """Getters that extend the minors of k chosen rows of V = [L | c].
+
+    Entry k lists, for each (k+1)-subset T of V's p + 1 columns in
+    `combinations` order, a getter on a new row followed by its negation
+    and one on the k-row minors (in the same order) whose products sum to
+    the Laplace expansion of the minor on T along the new, last row.
+    """
+    width = p + 1
+
+    def getter(indices):
+        return itemgetter(*indices) if len(indices) > 1 else lambda seq: (seq[indices[0]],)
+
+    levels = []
+    for k in range(p):
+        index = {s: i for i, s in enumerate(combinations(range(width), k))}
+        levels.append([
+            (
+                getter([col + width * ((k + pos) % 2) for pos, col in enumerate(target)]),
+                getter([index[target[:pos] + target[pos + 1:]] for pos in range(k + 1)]),
+            )
+            for target in combinations(range(width), k + 1)
+        ])
+    return levels
+
+
 def enumerate_dual_feasible_bases(
     left: Sequence[Sequence], c: Sequence
 ) -> list[BasisStructure]:
@@ -115,10 +155,12 @@ def enumerate_dual_feasible_bases(
     matrix.  Each nonsingular p-subset of variables yields exactly one
     structure: nonbasic variables go to the lower set on positive reduced
     cost and to the upper set on negative (signs are never zero under the
-    symbolic perturbation).  The reduced cost of j times det is
-    pi.L_j - det c_j with the basis's price vector pi; only a zero one
-    goes to :func:`reduced_cost_sign` for the perturbation's tie rule.
-    At most C(m, p) structures are returned.
+    symbolic perturbation).  Bases come in `combinations` order from a
+    depth-first walk that keeps the minors of the chosen rows of
+    V = [left | c]; a basis's cofactors gamma give every det-scaled
+    reduced cost as one dot product gamma.V_j, and only a zero one at a
+    nonbasic j goes to :func:`reduced_cost_sign` for the perturbation's
+    tie rule.  At most C(m, p) structures are returned.
     Scaling ``left`` and ``c`` to integers keeps every sign.  Raises
     ValueError if no p-subset is nonsingular (column rank below p).
     """
@@ -128,23 +170,46 @@ def enumerate_dual_feasible_bases(
     if len(left) != m:
         raise ValueError("factor row count must match objective length")
     p = len(left[0]) if left and left[0] else 0
+    rows = [(*row, ci) for row, ci in zip(left, c)]
+    signed = [row + tuple(map(neg, row)) for row in rows]
+    # The p-row minors leave out column p, p - 1, ..., 0 in turn, so the
+    # cofactors gamma of a further row are the minors times these signs.
+    cofactor_rows = [tuple(v * (-1) ** k for k, v in enumerate(reversed(row))) for row in rows]
+    levels = _laplace_terms(p)
+    variables = range(m)
     structures = []
-    for basis in combinations(range(m), p):
-        inverse = integer_inverse([[left[i][k] for i in basis] for k in range(p)])
-        if inverse is None:
+    # Depth-first, children pushed in reverse: bases pop in combinations order.
+    stack = [((), (1,))]
+    while stack:
+        basis, minors = stack.pop()
+        k = len(basis)
+        if k < p:
+            terms = levels[k]
+            for r in reversed(range(basis[-1] + 1 if basis else 0, m - p + k + 1)):
+                row = signed[r]
+                extended = [sum(map(mul, cols(row), sub(minors))) for cols, sub in terms]
+                stack.append(((*basis, r), extended))
             continue
-        det, adjugate = inverse
-        prices = [
-            sum(c[i] * a for i, a in zip(basis, column)) for column in zip(*adjugate)
-        ]
-        lower, upper = [], []
-        basis_set = set(basis)
-        for j in range(m):
-            if j not in basis_set:
-                base = sum(map(mul, prices, left[j])) - det * c[j]
-                if not base:
-                    base = reduced_cost_sign(left, c, basis, det, adjugate, j)
-                (lower if base > 0 else upper).append(j)
+        # minors[0] = gamma_p = det(L_B), and gamma.V_j is -sign(det) times
+        # the reduced cost of j times |det|, which is 0 at basic j.
+        det = minors[0]
+        if not det:
+            continue
+        costs = [sum(map(mul, minors, row)) for row in cofactor_rows]
+        # Lists first: a tuple built from an iterator comes from the size-10
+        # free list but goes back to the one of its size, so over many
+        # solves those free lists fill up.
+        lower = [*compress(variables, map((0).__gt__ if det > 0 else (0).__lt__, costs))]
+        upper = [*compress(variables, map((0).__lt__ if det > 0 else (0).__gt__, costs))]
+        if len(lower) + len(upper) < m - p:
+            # A nonbasic zero: the tie rule needs the basis inverse.
+            inverse = integer_inverse([[left[i][col] for i in basis] for col in range(p)])
+            for j in variables:
+                if not costs[j] and j not in basis:
+                    sign = reduced_cost_sign(left, c, basis, *inverse, j)
+                    (lower if sign > 0 else upper).append(j)
+            lower.sort()
+            upper.sort()
         structures.append(BasisStructure(basis, tuple(lower), tuple(upper)))
     if not structures:
         raise ValueError("factor does not have full column rank")
@@ -170,10 +235,14 @@ def candidates_from_basis(structure: BasisStructure) -> list[tuple[int, ...]]:
     return result
 
 
-def _completion(right, d, left, x) -> tuple[tuple[int, ...], object]:
-    """Optimal y for fixed x and its gain: y_j = 1 iff coefficient_j > 0,
-    with coefficient_j = d_j + sum_k right[k][j] * (left^T x)_k; the gain
-    is the sum of the positive coefficients."""
+def complete_y(
+    right: Sequence[Sequence[Fraction]],
+    d: Sequence[Fraction],
+    left: Sequence[Sequence[Fraction]],
+    x: Sequence[int],
+) -> tuple[int, ...]:
+    """Closed-form optimal y for fixed x: y_j = 1 iff its coefficient
+    d_j + sum_k right[k][j] * (left^T x)_k is positive."""
     t = [0] * len(right)
     for xi, row in zip(x, left):
         if xi:
@@ -182,17 +251,38 @@ def _completion(right, d, left, x) -> tuple[tuple[int, ...], object]:
     for tk, row in zip(t, right):
         if tk:
             coeffs = [a + tk * b for a, b in zip(coeffs, row)]
-    return tuple(1 if v > 0 else 0 for v in coeffs), sum(v for v in coeffs if v > 0)
+    return tuple(1 if v > 0 else 0 for v in coeffs)
 
 
-def complete_y(
-    right: Sequence[Sequence[Fraction]],
-    d: Sequence[Fraction],
-    left: Sequence[Sequence[Fraction]],
-    x: Sequence[int],
-) -> tuple[int, ...]:
-    """Closed-form optimal y for fixed x: y_j = 1 iff its coefficient > 0."""
-    return _completion(right, d, left, x)[0]
+def _best_corner(work: IntegerInstance, corners: set[int]) -> int:
+    """The best of the distinct corners, as x masks (x_i = bit i).
+
+    Each is scored as c.x plus its positive column gains
+    d_j + sum_i q_ij x_i, packed by `enumeration.pack_column_gains`:
+    one packed add per set bit.  Ties go to the lexicographically
+    smallest x.
+    """
+    rows, start, top, shift, low, modulus = pack_column_gains(work)
+    c = work.c
+    best_value, best = None, 0
+    for mask in corners:
+        packed, linear, rest = start, 0, mask
+        while rest:
+            bit = rest & -rest
+            i = bit.bit_length() - 1
+            packed += rows[i]
+            linear += c[i]
+            rest ^= bit
+        value = linear + (packed & ((packed & top) >> shift) * low) % modulus
+        if best_value is None or value > best_value:
+            best_value, best = value, mask
+        elif value == best_value:
+            # The lexicographically smaller x lacks the lowest bit where
+            # the two masks differ.
+            diff = mask ^ best
+            if not mask & diff & -diff:
+                best = mask
+    return best
 
 
 def solve_fixed_rank(
@@ -200,16 +290,14 @@ def solve_fixed_rank(
 ) -> Solution:
     """Optimal solution via basis-structure candidate enumeration.
 
-    Uses the integer rank factorization q = L R / D of
+    Uses the left factor of the integer rank factorization of
     ``rank_at_most(p_limit)``, refusing once p_limit + 1 pivots are found.
-    Enumerates candidate x-vectors from all dual feasible basis structures,
-    completes each distinct one with its closed-form y, and returns the best; a
-    repeat (the same arrangement cell reached from another basis) is
-    counted against the C(m,p) * 2^p bound but not scored again.  Each
-    candidate is scored in O((m + n) p) integer operations from
-    t = L^T x: D times the objective is D (c.x + c0) plus the positive
-    coefficients D d_j + (R^T t)_j.  Ties prefer the lexicographically
-    smallest (x, y).
+    Collects the corner x-vectors of all dual feasible basis structures
+    as int masks; a repeat (the same arrangement cell reached from
+    another basis) is counted against the C(m,p) * 2^p bound but scored
+    once.  Each distinct corner is scored on q's packed column gains, and
+    only the best is completed with its closed-form y.  Ties prefer the
+    lexicographically smallest x, and so the smallest (x, y).
     """
     work = inst.integer
     fact = work.rank_at_most(p_limit)
@@ -219,26 +307,19 @@ def solve_fixed_rank(
             limit=p_limit,
             measured=p_limit + 1,
         )
-    den = fact.denominator
-    d = [den * v for v in work.d]
-    best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
     bound = comb(work.m, fact.p) * (2 ** fact.p)
     count = 0
-    seen = set()  # bytes(x), not x: a 0/1 tuple takes 8 bytes a position
+    corners = set()
     for structure in enumerate_dual_feasible_bases(fact.left, work.c):
-        for x in candidates_from_basis(structure):
-            count += 1
-            key = bytes(x)
-            if key in seen:
-                continue
-            seen.add(key)
-            y, gain = _completion(fact.right, d, fact.left, x)
-            value = gain + den * (work.c0 + sum(ci for ci, xi in zip(work.c, x) if xi))
-            if best is None or value > best[0] or (
-                value == best[0] and (x, y) < (best[1], best[2])
-            ):
-                best = (value, x, y)
+        upper = sum(1 << j for j in structure.upper)
+        subsets = [0]
+        for i in structure.basis:
+            subsets += [s | 1 << i for s in subsets]
+        corners.update([upper | s for s in subsets])
+        count += len(subsets)
     if count > bound:
         raise AssertionError(f"candidate count {count} exceeds C(m,p)*2^p = {bound}")
-    assert best is not None
-    return Solution(best[1], best[2], Fraction(best[0], den * work.scale))
+    best = _best_corner(work, corners)
+    x = tuple((best >> i) & 1 for i in range(work.m))
+    y, value = best_y_for_x(work, x)
+    return Solution(x, y, value)

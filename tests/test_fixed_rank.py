@@ -13,8 +13,11 @@ from bqp01 import (
     SolverRefusal,
     SplitMix64,
     best_y_for_x,
+    dispatch_solve,
     enumerate_dual_feasible_bases,
+    evaluate_objective,
     rank_factorize,
+    solve_enumeration,
     solve_fixed_rank,
     solve_rank_one,
     RankOneForm,
@@ -27,6 +30,7 @@ from bqp01.fixed_rank import (
     reduced_cost_sign,
 )
 from bqp01.fixtures import sample_additive, sample_rank_one
+from bqp01.model import clear_denominators
 
 from conftest import (
     exhaustive_best,
@@ -298,13 +302,14 @@ def every_corner_best(inst):
 
 def test_each_distinct_candidate_is_scored_once(monkeypatch):
     scored = Counter()
-    original = fixed_rank._completion
+    original = fixed_rank._best_corner
 
-    def counting(right, d, left, x):
-        scored[x] += 1
-        return original(right, d, left, x)
+    def counting(work, corners):
+        for mask in corners:
+            scored[tuple((mask >> i) & 1 for i in range(work.m))] += 1
+        return original(work, corners)
 
-    monkeypatch.setattr(fixed_rank, "_completion", counting)
+    monkeypatch.setattr(fixed_rank, "_best_corner", counting)
     repeats = 0
     for inst in degenerate_instances(random.Random(67), 60):
         scored.clear()
@@ -323,6 +328,88 @@ def test_each_distinct_candidate_is_scored_once(monkeypatch):
         assert sol == every_corner_best(inst)
         assert sol.value == exhaustive_best(inst)
     assert repeats > 0
+
+
+def per_basis_structures(left, c, ties):
+    """The structures from one integer_inverse per basis, with the reduced
+    costs of its price vector: the reference for the prefix-minor walk.
+    Appends each nonbasic zero reduced cost to ``ties``."""
+    left = clear_denominators(left)[0]
+    (c,), _ = clear_denominators([c])
+    m, p = len(c), len(left[0])
+    structures = []
+    for basis in combinations(range(m), p):
+        inverse = integer_inverse([[left[i][k] for i in basis] for k in range(p)])
+        if inverse is None:
+            continue
+        det, adjugate = inverse
+        prices = [sum(c[i] * a for i, a in zip(basis, col)) for col in zip(*adjugate)]
+        lower, upper = [], []
+        for j in range(m):
+            if j not in basis:
+                base = sum(a * b for a, b in zip(prices, left[j])) - det * c[j]
+                if not base:
+                    ties.append(j)
+                    base = reduced_cost_sign(left, c, basis, det, adjugate, j)
+                (lower if base > 0 else upper).append(j)
+        structures.append(BasisStructure(basis, tuple(lower), tuple(upper)))
+    return structures
+
+
+def reference_factors(rng, count):
+    """(left, c) pairs of full column rank, in turn: p = 0, Fraction
+    entries, repeated rows, c = k * (row sums), and entries above 2^53."""
+    out = []
+    while len(out) < count:
+        kind = len(out) % 5
+        p = 0 if kind == 0 else rng.randint(1, 4)
+        m = rng.randint(max(p, 1), 8)
+        hi = 2**60 if kind == 4 else 3
+        left = random_matrix(rng, m, p, -hi, hi)
+        c = random_vector(rng, m, -hi, hi)
+        if kind == 1:
+            left = [[Fraction(v, rng.randint(1, 4)) for v in row] for row in left]
+            c = [Fraction(v, rng.randint(1, 4)) for v in c]
+        elif kind == 2:
+            for i in range(1, m, 2):
+                left[i], c[i] = list(left[i - 1]), c[i - 1]
+        elif kind == 3:
+            k = rng.randint(-2, 2)
+            c = [k * sum(row) for row in left]
+        if not p or rank_factorize(left).p == p:
+            out.append((left, c))
+    return out
+
+
+def test_prefix_minor_walk_matches_per_basis_inverses():
+    ties = []
+    for left, c in reference_factors(random.Random(68), 400):
+        expected = per_basis_structures(left, c, ties)
+        assert enumerate_dual_feasible_bases(left, c) == expected, (left, c)
+    assert ties
+
+
+def test_forced_rankp_on_zero_matrix_matches_enumeration():
+    rng = random.Random(69)
+    for m, n in ((1, 1), (3, 5), (6, 2)):
+        # c_0 = 0 makes the one basis's first reduced cost zero.
+        c = [0] + random_vector(rng, m - 1)
+        inst = Instance([[0] * n for _ in range(m)], c, random_vector(rng, n))
+        sol = dispatch_solve(inst, "rankp").solution
+        assert sol.value == solve_enumeration(inst).value
+        assert evaluate_objective(inst, sol.x, sol.y) == sol.value
+
+
+def test_matches_enumeration_up_to_ten_rows():
+    rng = random.Random(70)
+    instances = degenerate_instances(rng, 40)
+    for _ in range(60):
+        p = rng.randint(1, 4)
+        instances.append(random_rank_p_instance(rng, rng.randint(p, 10), rng.randint(p, 12), p))
+    for inst in instances:
+        sol = solve_fixed_rank(inst)
+        assert sol.value == solve_enumeration(inst).value
+        assert evaluate_objective(inst, sol.x, sol.y) == sol.value
 
 
 # The six rankp instances of perfbench's combinatorial pool at seed 1, and
