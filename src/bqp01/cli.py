@@ -15,15 +15,19 @@ import sys
 
 from . import __version__
 from .dispatch import ALGORITHMS, analyze, bench, dispatch_solve
-from .enumeration import DEFAULT_ENUM_LIMIT
-from .errors import CrossValidationError, ParseError, SolverRefusal
-from .fixed_rank import DEFAULT_P_LIMIT
-from .generate import generate_instance
-from .mincut import DEFAULT_ELIMINATOR_LIMIT
+from .errors import (
+    DEFAULT_ELIMINATOR_LIMIT,
+    DEFAULT_ENUM_LIMIT,
+    DEFAULT_P_LIMIT,
+    CrossValidationError,
+    ParseError,
+    SolverRefusal,
+)
 from .model import Instance
-from .rank_one import RankOneForm, pkp_breakpoints, ulp_breakpoints
 from .textio import format_instance, format_solution, parse_instance, parse_integer_instance
-from .transforms import bqp01_to_cut, bqp01_to_qp01, cut_to_bqp01, to_homogeneous
+
+# solve, analyze and bench import only what they run; the modules used by
+# transform, gen and --dump-breakpoints alone are imported inside them.
 
 
 def _read_instance(path: str, parse):
@@ -49,6 +53,8 @@ def _emit(pairs: list[tuple[str, str]], fmt: str) -> None:
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance, parse_integer_instance)
     if args.dump_breakpoints:
+        from .rank_one import RankOneForm, pkp_breakpoints, ulp_breakpoints
+
         # Built first, so a matrix of rank above one fails before any output.
         form = RankOneForm.from_instance(inst)
     report = dispatch_solve(
@@ -83,6 +89,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .transforms import bqp01_to_cut, bqp01_to_qp01, cut_to_bqp01, to_homogeneous
+
     inst = _read_instance(args.instance, parse_instance)
     if args.to == "homogeneous":
         if not isinstance(inst, Instance):
@@ -109,6 +117,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import generate_instance
+
     inst = generate_instance(
         args.kind, args.rows, args.cols, args.seed, value_range=args.range
     )
@@ -123,6 +133,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     algorithms = [token.strip() for token in args.algorithms.split(",") if token.strip()]
+    if not algorithms:
+        raise ValueError(f"--algorithms names no algorithm: {args.algorithms!r}")
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -16,15 +16,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import additive as additive_mod
-from . import enumeration, fixed_rank, mincut, rank_one
 from .analysis import (
     Eliminator,
     detect_additive,
     detect_nonnegative,
     min_negative_eliminator,
 )
-from .errors import CrossValidationError, SolverRefusal
+from .errors import (
+    DEFAULT_ELIMINATOR_LIMIT,
+    DEFAULT_ENUM_LIMIT,
+    DEFAULT_P_LIMIT,
+    CrossValidationError,
+    SolverRefusal,
+)
 from .model import CutInstance, Instance, IntegerInstance, Solution, normalize_orientation
 
 ALGORITHMS = (
@@ -66,10 +70,10 @@ class AnalysisReport:
     def lines(self) -> list[tuple[str, str]]:
         """(key, value) text pairs.
 
-        The rank prints exactly up to ``fixed_rank.DEFAULT_P_LIMIT`` (6)
-        and as ``>6`` above it, so no elimination runs past seven pivots.
+        The rank prints exactly up to ``DEFAULT_P_LIMIT`` (6) and as
+        ``>6`` above it, so no elimination runs past seven pivots.
         """
-        limit = fixed_rank.DEFAULT_P_LIMIT
+        limit = DEFAULT_P_LIMIT
         fact = self.work.rank_at_most(limit)
         m, n = self.work.m, self.work.n
         rows, cols = self.eliminator.rows, self.eliminator.cols
@@ -106,9 +110,9 @@ def dispatch_solve(
     inst: Instance | CutInstance | IntegerInstance,
     algorithm: str = "auto",
     *,
-    p_limit: int = fixed_rank.DEFAULT_P_LIMIT,
-    enum_limit: int = enumeration.DEFAULT_ENUM_LIMIT,
-    eliminator_limit: int = mincut.DEFAULT_ELIMINATOR_LIMIT,
+    p_limit: int = DEFAULT_P_LIMIT,
+    enum_limit: int = DEFAULT_ENUM_LIMIT,
+    eliminator_limit: int = DEFAULT_ELIMINATOR_LIMIT,
 ) -> SolveReport:
     """Solve with the named algorithm, or pick one automatically.
 
@@ -185,24 +189,35 @@ def _run(
 ) -> tuple[str, Solution]:
     """(detected label, solution) of the named solver on ``found.work``.
 
-    Each solver is read from its module at call time, so a patched one runs.
+    Only the chosen route's module is imported, and each solver is read
+    from its module at call time, so a patched one runs.
     """
     work = found.work
-    if algorithm == "oracle":
-        return "exhaustive scan", enumeration.solve_oracle(work)
-    if algorithm == "enum":
+    if algorithm in ("oracle", "enum"):
+        from . import enumeration
+
+        if algorithm == "oracle":
+            return "exhaustive scan", enumeration.solve_oracle(work)
         return f"{work.m} rows", enumeration.solve_enumeration(work, enum_limit)
     if algorithm == "rank1":
+        from . import rank_one
+
         form = rank_one.RankOneForm.from_instance(work)
         return "rank-one matrix", rank_one.solve_rank_one(form)
     if algorithm == "rankp":
+        from . import fixed_rank
+
         solution = fixed_rank.solve_fixed_rank(work, p_limit)
         return f"rank-{work.rank_at_most(p_limit).p} matrix", solution
     if algorithm == "additive":
+        from . import additive
+
         # A known-additive matrix goes straight to the scan; otherwise
         # solve_additive raises, naming the first mismatch.
-        scan = additive_mod.cardinality_scan if found.additive else additive_mod.solve_additive
+        scan = additive.cardinality_scan if found.additive else additive.solve_additive
         return "additive matrix", scan(work)
+    from . import mincut
+
     if algorithm == "mincut":
         return "nonnegative matrix", mincut.solve_nonnegative(work)
     if algorithm == "eliminator":
@@ -226,9 +241,9 @@ def bench(
     instances: list[tuple[str, Instance | CutInstance | IntegerInstance]],
     algorithms: list[str],
     *,
-    p_limit: int = fixed_rank.DEFAULT_P_LIMIT,
-    enum_limit: int = enumeration.DEFAULT_ENUM_LIMIT,
-    eliminator_limit: int = mincut.DEFAULT_ELIMINATOR_LIMIT,
+    p_limit: int = DEFAULT_P_LIMIT,
+    enum_limit: int = DEFAULT_ENUM_LIMIT,
+    eliminator_limit: int = DEFAULT_ELIMINATOR_LIMIT,
 ) -> list[BenchRow]:
     """Run each algorithm on each instance; fail if optima disagree.
 

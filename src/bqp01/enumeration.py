@@ -26,10 +26,8 @@ from itertools import product
 from operator import add
 from typing import Sequence
 
-from .errors import SolverRefusal
+from .errors import DEFAULT_ENUM_LIMIT, SolverRefusal
 from .model import IntegerInstance, Instance, Solution
-
-DEFAULT_ENUM_LIMIT = 25
 
 
 def best_y_for_x(

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default size limits
+past which the rankp, enum and eliminator solvers refuse."""
+
+DEFAULT_P_LIMIT = 6
+DEFAULT_ENUM_LIMIT = 25
+DEFAULT_ELIMINATOR_LIMIT = 25
 
 
 class SolverRefusal(Exception):

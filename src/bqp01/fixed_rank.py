@@ -50,7 +50,7 @@ from typing import Sequence
 
 from .analysis import bareiss
 from .enumeration import best_y_for_x, pack_column_gains
-from .errors import SolverRefusal
+from .errors import DEFAULT_P_LIMIT, SolverRefusal
 from .model import (
     IntegerInstance,
     Instance,
@@ -59,8 +59,6 @@ from .model import (
     freeze_matrix,
     freeze_vector,
 )
-
-DEFAULT_P_LIMIT = 6
 
 
 @dataclass(frozen=True)

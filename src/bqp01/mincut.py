@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .analysis import Eliminator
-from .errors import SolverRefusal
+from .errors import DEFAULT_ELIMINATOR_LIMIT, SolverRefusal
 from .model import (
     IntegerInstance,
     Instance,
@@ -53,8 +53,6 @@ from .model import (
     _freeze,
     clear_denominators,
 )
-
-DEFAULT_ELIMINATOR_LIMIT = 25
 
 
 @dataclass(frozen=True)

@@ -382,6 +382,13 @@ def test_cli_bench_unknown_algorithm_exit_code(instance_file, capsys):
     assert captured.out == "" and "unknown algorithm 'nope'" in captured.err
 
 
+@pytest.mark.parametrize("names", [",", " , ,", ""])
+def test_cli_bench_without_algorithms_exit_code(instance_file, capsys, names):
+    assert main(["bench", instance_file, "--algorithms", names]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--algorithms names no algorithm" in captured.err
+
+
 def test_cli_bench_disagreement_exit_code(instance_file, capsys, monkeypatch):
     def fake(instances, algorithms, **kw):
         raise CrossValidationError("solvers disagree on demo")
