@@ -1,12 +1,14 @@
 """Structure detection for cost matrices.
 
-Four independent detectors drive solver selection: exact rank factorization
-by fraction-free Gauss-Jordan elimination (Bareiss), additive
-decomposability q_ij = a_i + b_j, entrywise nonnegativity, and the minimum
-set of rows/columns whose deletion removes all negative entries (a minimum
-vertex cover of the negativity graph, read off a minimum cut of its unit
-flow network on the shared Dinic core of ``mincut``).  The detectors take
-a matrix of exact rationals as it is; dispatch passes them ints.
+Four detectors drive solver selection: the rank, by fraction-free
+Gauss-Jordan elimination (Bareiss), additive decomposability q_ij = a_i +
+b_j, entrywise nonnegativity, and the minimum set of rows/columns whose
+deletion removes all negative entries (a minimum vertex cover of the
+negativity graph, read off a minimum cut of its unit flow network on the
+shared Dinic core of ``mincut``).  Dispatch routes on
+``IntegerInstance.rank_at_most``, which stops at its limit's next pivot;
+``rank_factorize`` factors any matrix in full.  The detectors take a
+matrix of exact rationals as it is; dispatch passes them ints.
 """
 
 from __future__ import annotations

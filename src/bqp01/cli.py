@@ -53,10 +53,10 @@ def _emit(pairs: list[tuple[str, str]], fmt: str) -> None:
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance, parse_integer_instance)
     if args.dump_breakpoints:
-        from .rank_one import RankOneForm, pkp_breakpoints, ulp_breakpoints
+        from .rank_one import pkp_breakpoints, ulp_breakpoints
 
         # Built first, so a matrix of rank above one fails before any output.
-        form = RankOneForm.from_instance(inst)
+        tracks = [("concave-x", pkp_breakpoints(inst)), ("convex-y", ulp_breakpoints(inst))]
     report = dispatch_solve(
         inst,
         args.algorithm,
@@ -72,10 +72,7 @@ def _cmd_solve(args) -> int:
     _emit(pairs, args.format)
     sys.stdout.write(format_solution(report.solution))
     if args.dump_breakpoints:
-        for label, track in (
-            ("concave-x", pkp_breakpoints(form)),
-            ("convex-y", ulp_breakpoints(form)),
-        ):
+        for label, track in tracks:
             print(f"# {label} track: breakpoint value")
             for t, h in zip(track.breakpoints, track.values):
                 print(f"{t} {h}")

@@ -124,8 +124,9 @@ def dispatch_solve(
     in order: nonnegative -> mincut, additive -> additive, rank <= 1 ->
     rank1, rank <= p_limit -> rankp, m <= enum_limit -> enum, eliminator
     within limit -> eliminator; if nothing applies a SolverRefusal
-    carrying the analysis report is raised.  A reported value that differs
-    from the objective at its point raises CrossValidationError.
+    carrying the analysis report is raised.  A forced ``oracle`` refuses
+    when m + n > enum_limit.  A reported value that differs from the
+    objective at its point raises CrossValidationError.
     ``wall_time`` times the whole call, conversions and that check too.
     """
     start = time.perf_counter()
@@ -197,13 +198,17 @@ def _run(
         from . import enumeration
 
         if algorithm == "oracle":
+            if work.m + work.n > enum_limit:
+                raise SolverRefusal(
+                    f"oracle over 2^{work.m + work.n} (x, y) pairs exceeds enum_limit "
+                    f"2^{enum_limit}; raise enum_limit (--enum-limit) to force"
+                )
             return "exhaustive scan", enumeration.solve_oracle(work)
         return f"{work.m} rows", enumeration.solve_enumeration(work, enum_limit)
     if algorithm == "rank1":
         from . import rank_one
 
-        form = rank_one.RankOneForm.from_instance(work)
-        return "rank-one matrix", rank_one.solve_rank_one(form)
+        return "rank-one matrix", rank_one.solve_rank_one(work)
     if algorithm == "rankp":
         from . import fixed_rank
 

@@ -15,10 +15,10 @@ envelope itself.  On (a, c) from s = -infinity it is the Lagrangian dual
 of the knapsack: each of its segments is a knapsack breakpoint, with the
 slope a.x as the breakpoint and the intercept c.x as the value there.
 
-Internally the pipeline scales the form to integers with the shared
-``clear_denominators`` step (a uniform positive scaling of the objective,
-so the argmax is untouched) and runs on plain integers; ratios are sorted
-by an exact integer key, so no step rounds.
+The solvers take a :class:`RankOneForm` or an instance of rank at most
+one.  ``_integer_form`` scales either to plain integers (a uniform positive
+scaling of the objective, so the argmax is untouched); ratios are sorted by
+an exact integer key, so no step rounds.
 """
 
 from __future__ import annotations
@@ -66,19 +66,13 @@ class RankOneForm:
     def from_instance(cls, inst: Instance | IntegerInstance) -> "RankOneForm":
         """Factor inst.q = a b^T; raises ValueError if rank(q) exceeds one.
 
-        Asks the integer instance for ``rank_at_most(1)``, so the
-        elimination stops at its second pivot and a factorization already
-        recorded there is reused.  a is the pivot column of q, and b the
-        pivot row divided by the pivot.
+        The instance's integer form divided back by its scales: a is the
+        pivot column of q, and b the pivot row divided by the pivot.
         """
-        work = inst.integer
-        fact = work.rank_at_most(1)
-        if fact is None:
-            raise ValueError("matrix has rank > 1, expected at most 1")
-        a = [Fraction(row[0], work.scale) if row else 0 for row in fact.left]
-        b = [Fraction(v, fact.denominator) for v in fact.right[0]] if fact.p else [0] * work.n
-        linear = [Fraction(v, work.scale) for v in (*work.c, *work.d, work.c0)]
-        return cls(a, b, linear[: work.m], linear[work.m : -1], linear[-1])
+        a, b, c, d, c0, ka, kb = _integer_form(inst)
+        linear = [Fraction(v, ka * kb) for v in (*c, *d, c0)]
+        a, b = [Fraction(v, ka) for v in a], [Fraction(v, kb) for v in b]
+        return cls(a, b, linear[: len(a)], linear[len(a) : -1], linear[-1])
 
     @property
     def lambda_min(self) -> Fraction:
@@ -140,18 +134,28 @@ class BreakpointTrack:
 # --- exact integer core -------------------------------------------------------
 
 
-def _integer_form(form: RankOneForm):
-    """Integer copy (A, B, C, D, C0) and its scale k.
+def _integer_form(source: RankOneForm | Instance | IntegerInstance):
+    """Integer copy (A, B, C, D, C0) and its axis and slope scales ka, kb.
 
-    With k from ``clear_denominators`` over every coefficient, A = k*a,
-    B = k*b and the linear terms are scaled by k^2, so the scaled
-    objective is exactly k^2 times the original and the breakpoint axis
-    (and the convex track's slopes) are scaled by k.
+    A = ka*a, B = kb*b and the linear terms are scaled by ka*kb, as is the
+    objective.  A form takes ka = kb = k from ``clear_denominators``.  An
+    instance's integer q is left right / denominator by ``rank_at_most(1)``:
+    A is the pivot column, B the factor row, ka its scale, kb the denominator.
     """
-    (a, b, c, d, (c0,)), k = clear_denominators([form.a, form.b, form.c, form.d, (form.c0,)])
+    if not isinstance(source, RankOneForm):
+        work = source.integer
+        fact = work.rank_at_most(1)
+        if fact is None:
+            raise ValueError("matrix has rank > 1, expected at most 1")
+        k = fact.denominator
+        a = [row[0] if row else 0 for row in fact.left]
+        b = fact.right[0] if fact.p else (0,) * work.n
+        return a, b, [k * v for v in work.c], [k * v for v in work.d], k * work.c0, work.scale, k
+    vectors = source.a, source.b, source.c, source.d, (source.c0,)
+    (a, b, c, d, (c0,)), k = clear_denominators(vectors)
     if k > 1:
         c, d, c0 = [k * x for x in c], [k * x for x in d], k * c0
-    return a, b, c, d, c0, k
+    return a, b, c, d, c0, k, k
 
 
 def _sorted_ratio_groups(pairs: list[tuple[int, int, int]]) -> list[list[int]]:
@@ -239,7 +243,7 @@ def _replay(initial: tuple[int, ...], groups, count: int) -> tuple[int, ...]:
 # --- public track construction --------------------------------------------------
 
 
-def pkp_breakpoints(form: RankOneForm) -> BreakpointTrack:
+def pkp_breakpoints(source: RankOneForm | Instance | IntegerInstance) -> BreakpointTrack:
     """Breakpoint track of max{c.x : a.x = t, x in [0,1]^m}.
 
     The base solution at t = lambda_min sets x_i = 1 for a_i < 0 and for
@@ -249,17 +253,17 @@ def pkp_breakpoints(form: RankOneForm) -> BreakpointTrack:
     or lower (a_i < 0) bound.  At most m+1 breakpoints; every breakpoint
     solution is binary and the track value is concave.
     """
-    a, _, c, _, _, scale = _integer_form(form)
+    a, _, c, _, _, ka, kb = _integer_form(source)
     initial, groups, values, breakpoints = _parametric_track(a, c)
     return BreakpointTrack(
-        tuple(Fraction(t, scale) for t in breakpoints),
+        tuple(Fraction(t, ka) for t in breakpoints),
         tuple(groups),
         initial,
-        tuple(Fraction(h, scale**2) for h in values),
+        tuple(Fraction(h, ka * kb) for h in values),
     )
 
 
-def ulp_breakpoints(form: RankOneForm) -> BreakpointTrack:
+def ulp_breakpoints(source: RankOneForm | Instance | IntegerInstance) -> BreakpointTrack:
     """Breakpoint track of max{d.y + t b.y : y in [0,1]^n} for t >= lambda_min.
 
     The base solution at t = lambda_min sets y_j = 1 iff d_j + t b_j > 0,
@@ -274,27 +278,27 @@ def ulp_breakpoints(form: RankOneForm) -> BreakpointTrack:
     d_j and B = sum of active b_j give the envelope value D + t B on each
     segment; the slopes B strictly increase, so the track value is convex.
     """
-    a, b, _, d, _, scale = _integer_form(form)
+    a, b, _, d, _, ka, kb = _integer_form(source)
     initial, groups, intercepts, slopes = _parametric_track(b, d, sum(x for x in a if x < 0))
     # Breakpoint k is where the lines of segments k and k+1 meet.
     mu_pairs = [
         (i0 - i1, s1 - s0) for i0, i1, s0, s1 in zip(intercepts, intercepts[1:], slopes, slopes[1:])
     ]
     values = tuple(
-        Fraction(intercepts[k + 1] * den + num * slopes[k + 1], den * scale**2)
+        Fraction(intercepts[k + 1] * den + num * slopes[k + 1], den * ka * kb)
         for k, (num, den) in enumerate(mu_pairs)
     )
     return BreakpointTrack(
-        tuple(Fraction(num, den * scale) for num, den in mu_pairs),
+        tuple(Fraction(num, den * ka) for num, den in mu_pairs),
         tuple(groups),
         initial,
         values,
-        tuple(Fraction(i, scale**2) for i in intercepts),
-        tuple(Fraction(x, scale) for x in slopes),
+        tuple(Fraction(i, ka * kb) for i in intercepts),
+        tuple(Fraction(x, kb) for x in slopes),
     )
 
 
-def solve_rank_one(form: RankOneForm) -> Solution:
+def solve_rank_one(source: RankOneForm | Instance | IntegerInstance) -> Solution:
     """Optimal solution of the factored instance via a merged sweep.
 
     Both tracks are built, then their breakpoints are scanned in increasing
@@ -304,7 +308,7 @@ def solve_rank_one(form: RankOneForm) -> Solution:
     the candidate value at t is then the sum of both envelope values plus
     c0.  The best candidate over all concave breakpoints is optimal.
     """
-    a, b, c, d, c0, scale = _integer_form(form)
+    a, b, c, d, c0, ka, kb = _integer_form(source)
     x_initial, x_groups, x_values, x_bps = _parametric_track(a, c)
     y_initial, y_groups, intercepts, slopes = _parametric_track(b, d, x_bps[0])
 
@@ -327,4 +331,4 @@ def solve_rank_one(form: RankOneForm) -> Solution:
 
     x = _replay(x_initial, x_groups, best_k)
     y = _replay(y_initial, y_groups, best_flips)
-    return Solution(x, y, Fraction(best_value, scale**2))
+    return Solution(x, y, Fraction(best_value, ka * kb))

@@ -347,6 +347,35 @@ def test_cli_refusal_exit_code(tmp_path, capsys):
     assert "refused" in err and "rank=" in err
 
 
+def test_forced_oracle_refuses_past_enum_limit(monkeypatch):
+    inst = sample_rank_one()  # 5 x 7: the oracle scans 2^12 points
+
+    def never(work):
+        raise AssertionError("the oracle ran past its limit")
+
+    monkeypatch.setattr(bqp01.enumeration, "solve_oracle", never)
+    for run in (
+        lambda: dispatch_solve(inst, "oracle", enum_limit=11),
+        lambda: bench([("rich", inst)], ["auto", "oracle"], enum_limit=11),
+    ):
+        with pytest.raises(SolverRefusal, match="enum_limit 2\\^11.*--enum-limit"):
+            run()
+    monkeypatch.undo()
+    assert dispatch_solve(inst, "oracle", enum_limit=12).solution.value == 56
+
+
+def test_cli_forced_oracle_refusal_exit_code(instance_file, capsys, monkeypatch):
+    monkeypatch.setattr(bqp01.enumeration, "solve_oracle", None)  # must not be called
+    for argv in (
+        ["solve", instance_file, "--algorithm", "oracle", "--enum-limit", "11"],
+        ["bench", instance_file, "--algorithms", "auto,oracle", "--enum-limit", "11"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "refused" in captured.err
+        assert "--enum-limit" in captured.err
+
+
 def test_cli_gen_analyze_round_trip(tmp_path, capsys):
     path = tmp_path / "gen.bqp"
     assert main(["gen", "--kind", "additive", "-m", "3", "-n", "4",

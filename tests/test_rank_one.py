@@ -3,10 +3,19 @@ from fractions import Fraction
 from itertools import groupby
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bqp01 import (
+    CutInstance,
     Instance,
     RankOneForm,
+    Solution,
+    analyze,
+    dispatch_solve,
+    evaluate_cut_objective,
+    evaluate_objective,
+    generate_instance,
     pkp_breakpoints,
     solve_rank_one,
     ulp_breakpoints,
@@ -28,8 +37,10 @@ def test_form_recovery_from_instance():
 
 
 def test_form_rejects_higher_rank():
-    with pytest.raises(ValueError):
-        RankOneForm.from_instance(Instance([[1, 0], [0, 1]]))
+    inst = Instance([[1, 0], [0, 1]])
+    for build in (RankOneForm.from_instance, solve_rank_one, pkp_breakpoints, ulp_breakpoints):
+        with pytest.raises(ValueError, match="rank > 1"):
+            build(inst)
 
 
 def test_concave_track_known_values():
@@ -184,7 +195,8 @@ def test_solver_matches_oracle():
 def test_solver_handles_zero_matrix():
     inst = Instance([[0, 0], [0, 0]], [1, -1], [-1, 1], 2)
     form = RankOneForm.from_instance(inst)
-    assert solve_rank_one(form).value == 4
+    assert form.a == form.b == (0, 0)
+    assert solve_rank_one(form).value == solve_rank_one(inst).value == 4
 
 
 def test_sweep_solves_one_sided_linear_terms():
@@ -228,3 +240,81 @@ def test_sorted_ratio_groups_match_a_fraction_reference():
                 pairs.append((rng.randint(-big, big), rng.randint(1, big), idx))
         rng.shuffle(pairs)
         assert _sorted_ratio_groups(pairs) == reference(pairs)
+
+
+# --- one answer from an instance and from its form -----------------------------
+
+SAME_ANSWER = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+ENTRIES = {
+    "int": st.integers(-5, 5),
+    "fraction": st.fractions(-4, 4, max_denominator=6),
+    "big": st.sampled_from([0, 1, -3, 2**53 + 1, -(2**60) - 3, 2**61 + 5]),
+}
+
+
+@st.composite
+def rank_one_instances(draw):
+    """q = a b^T, 0-1 or cut form, of ints, Fractions or entries above 2^53,
+    with zero rows and columns, sometimes a zero matrix, and ties planted:
+    c_i = k a_i on chosen rows, and b_j = d_j = 0 on chosen columns."""
+    values = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+
+    def vec(size):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    a, b, c, d = vec(m), vec(n), vec(m), vec(n)
+    if draw(st.booleans()):
+        a = [0] * m
+    k = draw(st.integers(-3, 3))
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        c[i] = k * a[i]
+    for j in draw(st.sets(st.integers(0, n - 1))):
+        b[j] = d[j] = 0
+    cls = draw(st.sampled_from((Instance, CutInstance)))
+    return cls([[ai * bj for bj in b] for ai in a], c, d, draw(values))
+
+
+@SAME_ANSWER
+@given(rank_one_instances())
+def test_instance_and_its_form_give_one_answer(inst):
+    form = RankOneForm.from_instance(inst)
+    sol = solve_rank_one(inst)
+    assert sol == solve_rank_one(form)
+    for build in (pkp_breakpoints, ulp_breakpoints):
+        assert vars(build(inst)) == vars(build(form))
+
+    # A lower-level solver reads a cut instance as its 0-1 rewrite, and
+    # dispatch reports that point as signs.
+    cut = isinstance(inst, CutInstance)
+    evaluate = evaluate_cut_objective if cut else evaluate_objective
+    signs = (lambda vec: tuple(2 * v - 1 for v in vec)) if cut else tuple
+    assert evaluate(inst, signs(sol.x), signs(sol.y)) == sol.value
+    # dispatch solves the integer form with m <= n, so a taller instance
+    # is swept along its other side and may end on another tied optimum.
+    found = analyze(inst)
+    if found.transposed:
+        swept = solve_rank_one(found.work)
+        assert swept.value == sol.value
+        x, y = swept.y, swept.x
+    else:
+        x, y = sol.x, sol.y
+    assert dispatch_solve(inst, "rank1").solution == Solution(signs(x), signs(y), sol.value)
+
+
+def test_dispatch_builds_no_form(monkeypatch):
+    def refuse(self):
+        raise AssertionError("RankOneForm built on the rank1 route")
+
+    monkeypatch.setattr(RankOneForm, "__post_init__", refuse)
+    plain = generate_instance("rank1", 6, 9, 3)
+    for inst in (plain, CutInstance(plain.q, plain.c, plain.d), generate_instance("rank1", 9, 4, 5)):
+        for algorithm in ("auto", "rank1"):
+            assert dispatch_solve(inst, algorithm).algorithm == "rank1"
