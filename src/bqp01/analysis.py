@@ -7,15 +7,20 @@ deletion removes all negative entries (a minimum vertex cover of the
 negativity graph, read off a minimum cut of its unit flow network on the
 shared Dinic core of ``mincut``).  Dispatch routes on
 ``IntegerInstance.rank_at_most``, which stops at its limit's next pivot;
-``rank_factorize`` factors any matrix in full.  The detectors take a
-matrix of exact rationals as it is; dispatch passes them ints.
+``rank_factorize`` factors any matrix in full.  A matrix of rank at most
+one needs no elimination: ``bareiss`` recognises it in one pass that
+compares each row with a multiple of the first pivot's row.  The
+detectors take a matrix of exact rationals as it is; dispatch passes
+them ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from itertools import repeat
+from math import gcd
+from operator import countOf, floordiv, mul, sub
 from typing import Sequence
 
 from .model import clear_denominators, freeze_matrix
@@ -77,7 +82,14 @@ def bareiss(
     many pivots are found, before eliminating the last one: len(pivots) ==
     max_pivots then only proves rank >= max_pivots, and rows and det are
     partial.  Fewer pivots mean the elimination finished.
+
+    Unless ``max_pivots`` is 1, a matrix of rank at most one is answered
+    without elimination, by :func:`_rank_one`; the result is the same.
     """
+    if max_pivots != 1:
+        found = _rank_one(matrix)
+        if found is not None:
+            return found
     rows = [list(row) for row in matrix]
     m = len(rows)
     pivots: list[int] = []
@@ -108,6 +120,32 @@ def bareiss(
     return rows, pivots, prev
 
 
+def _rank_one(matrix: Sequence[Sequence[int]]):
+    """:func:`bareiss`'s full result when rank(matrix) <= 1, else None.
+
+    The first pivot is found as the elimination finds it, and its row
+    divided by its gcd is a primitive row t.  An integer row is a rational
+    multiple of t only as an integer multiple, so the rank is at most one
+    exactly when every row equals t times its own entry in the pivot
+    column over t's: one ``map`` and one tuple compare per row, stopping
+    at the first row that differs.  Elimination would leave the pivot row,
+    sign-normalised, above m - 1 zero rows, with |pivot| the determinant.
+    """
+    n = len(matrix[0]) if matrix else 0
+    first = next(((row, col) for col in range(n) for row in matrix if row[col]), None)
+    if first is None:
+        return [list(row) for row in matrix], [], 1
+    top, col = first
+    pivot = top[col]
+    t = tuple(map(floordiv, top, repeat(gcd(*top))))
+    lead = t[col]
+    for row in matrix:
+        if tuple(map(mul, t, repeat(row[col] // lead))) != tuple(row):
+            return None
+    zeros = [[0] * n for _ in range(len(matrix) - 1)]
+    return [list(top) if pivot > 0 else [-v for v in top], *zeros], [col], abs(pivot)
+
+
 def rank_factorize(matrix: Sequence[Sequence]) -> RankFactorization:
     """Factor q = left @ right with p = rank(q), both factors exact.
 
@@ -126,15 +164,17 @@ def additive_mismatch(q: Sequence[Sequence]) -> tuple[int, int] | None:
     """First (i, j) with q_ij - q_i0 - q_0j + q_00 != 0, else None.
 
     None exactly when q_ij = a_i + b_j for some vectors a and b.  Each row
-    is tested at C speed, by the number of distinct q_ij - q_0j; only a
-    failing row is walked to find its first mismatching entry.
+    is tested at C speed, by counting the q_ij - q_0j equal to its first
+    one, with no set: that builds nothing per row and hashes no entry.
+    Only a failing row is walked to find its first mismatching entry.
     """
     top = q[0]
     base = top[0]
+    n = len(top)
     for i in range(1, len(q)):
         row = q[i]
-        if len(set(map(sub, row, top))) > 1:
-            shift = row[0] - base
+        shift = row[0] - base
+        if countOf(map(sub, row, top), shift) != n:
             for j, (v, t) in enumerate(zip(row, top)):
                 if v != t + shift:
                     return (i, j)

@@ -14,8 +14,8 @@ import argparse
 import sys
 
 from . import __version__
-from .dispatch import ALGORITHMS, analyze, bench, dispatch_solve
 from .errors import (
+    ALGORITHMS,
     DEFAULT_ELIMINATOR_LIMIT,
     DEFAULT_ENUM_LIMIT,
     DEFAULT_P_LIMIT,
@@ -23,11 +23,9 @@ from .errors import (
     ParseError,
     SolverRefusal,
 )
-from .model import Instance
-from .textio import format_instance, format_solution, parse_instance, parse_integer_instance
 
-# solve, analyze and bench import only what they run; the modules used by
-# transform, gen and --dump-breakpoints alone are imported inside them.
+# Each command imports what it runs inside its function, so parsing the
+# arguments (--version, --help) loads only this module and ``errors``.
 
 
 def _read_instance(path: str, parse):
@@ -51,6 +49,9 @@ def _emit(pairs: list[tuple[str, str]], fmt: str) -> None:
 
 
 def _cmd_solve(args) -> int:
+    from .dispatch import dispatch_solve
+    from .textio import format_solution, parse_integer_instance
+
     inst = _read_instance(args.instance, parse_integer_instance)
     if args.dump_breakpoints:
         from .rank_one import pkp_breakpoints, ulp_breakpoints
@@ -80,12 +81,17 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .dispatch import analyze
+    from .textio import parse_integer_instance
+
     inst = _read_instance(args.instance, parse_integer_instance)
     _emit(analyze(inst).lines(), args.format)
     return 0
 
 
 def _cmd_transform(args) -> int:
+    from .model import Instance
+    from .textio import format_instance, parse_instance
     from .transforms import bqp01_to_cut, bqp01_to_qp01, cut_to_bqp01, to_homogeneous
 
     inst = _read_instance(args.instance, parse_instance)
@@ -115,6 +121,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_gen(args) -> int:
     from .generate import generate_instance
+    from .textio import format_instance
 
     inst = generate_instance(
         args.kind, args.rows, args.cols, args.seed, value_range=args.range
@@ -129,6 +136,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .dispatch import bench
+    from .textio import parse_integer_instance
+
     algorithms = [token.strip() for token in args.algorithms.split(",") if token.strip()]
     if not algorithms:
         raise ValueError(f"--algorithms names no algorithm: {args.algorithms!r}")

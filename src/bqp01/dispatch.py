@@ -19,10 +19,10 @@ from functools import cached_property
 from .analysis import (
     Eliminator,
     detect_additive,
-    detect_nonnegative,
     min_negative_eliminator,
 )
 from .errors import (
+    ALGORITHMS,
     DEFAULT_ELIMINATOR_LIMIT,
     DEFAULT_ENUM_LIMIT,
     DEFAULT_P_LIMIT,
@@ -30,17 +30,6 @@ from .errors import (
     SolverRefusal,
 )
 from .model import CutInstance, Instance, IntegerInstance, Solution, normalize_orientation
-
-ALGORITHMS = (
-    "auto",
-    "oracle",
-    "enum",
-    "rank1",
-    "rankp",
-    "additive",
-    "mincut",
-    "eliminator",
-)
 
 
 @dataclass(frozen=True)
@@ -55,9 +44,9 @@ class AnalysisReport:
     work: IntegerInstance
     transposed: bool
 
-    @cached_property
+    @property
     def nonnegative(self) -> bool:
-        return detect_nonnegative(self.work.q)
+        return self.work.nonnegative
 
     @cached_property
     def additive(self) -> bool:

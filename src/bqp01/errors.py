@@ -1,5 +1,18 @@
-"""Exception types shared across the package, and the default size limits
-past which the rankp, enum and eliminator solvers refuse."""
+"""Exception types shared across the package, the algorithm names, and the
+default size limits past which the rankp, enum and eliminator solvers
+refuse: all that the command line's parser needs, so ``--version`` and
+``--help`` load no solver."""
+
+ALGORITHMS = (
+    "auto",
+    "oracle",
+    "enum",
+    "rank1",
+    "rankp",
+    "additive",
+    "mincut",
+    "eliminator",
+)
 
 DEFAULT_P_LIMIT = 6
 DEFAULT_ENUM_LIMIT = 25

@@ -184,10 +184,16 @@ def _terminal_caps(row_sum: int, linear: int) -> tuple[int, int]:
     return row_sum + (linear if linear > 0 else 0), (-linear if linear < 0 else 0)
 
 
-def _nonnegative_block(q, rows, cols=None) -> list:
-    """Rows ``rows`` of q on ``cols`` (all when None); ValueError on a negative entry."""
+def _nonnegative_block(q, rows, cols=None, nonnegative=None) -> list:
+    """Rows ``rows`` of q on ``cols`` (all when None); ValueError on a negative entry.
+
+    A caller that knows the block's sign passes it as ``nonnegative``, and
+    the block is not scanned.
+    """
     block = [q[i] if cols is None else [q[i][j] for j in cols] for i in rows]
-    if any(min(row, default=0) < 0 for row in block):
+    if nonnegative is None:
+        nonnegative = all(min(row, default=0) >= 0 for row in block)
+    if not nonnegative:
         raise ValueError("cost matrix has a negative entry")
     return block
 
@@ -404,7 +410,9 @@ def _fixing_optima(work: IntegerInstance, elim: Eliminator):
     fixed_rows, fixed_cols = set(elim.rows), set(elim.cols)
     rows = [i for i in range(work.m) if i not in fixed_rows]
     cols = [j for j in range(work.n) if j not in fixed_cols]
-    block = _nonnegative_block(q, rows, cols if elim.cols else None)
+    # With no line fixed the block is q, whose sign ``work`` records once.
+    known = None if elim.size else work.nonnegative
+    block = _nonnegative_block(q, rows, cols if elim.cols else None, known)
     linear = [c[i] for i in rows] + [d[j] for j in cols]
     spans = [[q[i][j] for j in elim.cols] for i in rows]
     spans += [[q[i][j] for i in elim.rows] for j in cols]

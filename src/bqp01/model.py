@@ -28,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import floordiv, mul
+from operator import countOf, floordiv, mul
 from typing import Sequence, Union
 
 Numeric = Union[int, str, float, Fraction]
@@ -45,7 +45,9 @@ def as_fraction(value: Numeric) -> Fraction:
     return Fraction(value)
 
 
-_INT_ONLY = frozenset((int,))
+def _all_ints(vec: tuple) -> bool:
+    """Whether every value's type is int (so no bool): one C-level count."""
+    return countOf(map(type, vec), int) == len(vec)
 
 
 def _scale_pairs(rows) -> tuple[list[tuple[int, ...]], int]:
@@ -72,13 +74,16 @@ def _scale_pairs(rows) -> tuple[list[tuple[int, ...]], int]:
     return ints, scale
 
 
+def _pair(vec: tuple, all_int: bool):
+    """(vec, None) for a vector of ints, else (numerators, denominators)."""
+    if all_int:
+        return vec, None
+    return tuple(v.numerator for v in vec), tuple(v.denominator for v in vec)
+
+
 def _pairs(vectors: Sequence[Sequence[Fraction | int]]):
-    """(values, None) for each vector of ints, else (numerators, denominators)."""
-    return [
-        (vec, None) if _INT_ONLY.issuperset(map(type, vec))
-        else (tuple(v.numerator for v in vec), tuple(v.denominator for v in vec))
-        for vec in map(tuple, vectors)
-    ]
+    """The :func:`_pair` of each vector, each checked for ints by type."""
+    return [_pair(vec, _all_ints(vec)) for vec in map(tuple, vectors)]
 
 
 def clear_denominators(
@@ -113,28 +118,39 @@ def _freeze(value: Numeric) -> int | Fraction:
     return value if type(value) is int else as_fraction(value)
 
 
+def _frozen(values: Sequence[Numeric]) -> tuple[tuple[int | Fraction, ...], bool]:
+    """(:func:`freeze_vector` of values, whether they were all ints)."""
+    out = tuple(values)
+    if _all_ints(out):
+        return out, True
+    return tuple(map(_freeze, out)), False
+
+
 def freeze_vector(values: Sequence[Numeric]) -> tuple[int | Fraction, ...]:
     """Values as a tuple: ints (not bools) kept, anything else a Fraction."""
-    out = tuple(values)
-    if _INT_ONLY.issuperset(map(type, out)):
-        return out
-    return tuple(map(_freeze, out))
+    return _frozen(values)[0]
+
+
+def _freeze_rows(rows: Sequence[Sequence[Numeric]]):
+    """(:func:`freeze_matrix` of rows, each row's all-int flag)."""
+    out, flags = tuple(zip(*map(_frozen, rows))) or ((), ())
+    if out and any(len(row) != len(out[0]) for row in out):
+        raise ValueError("matrix rows have inconsistent lengths")
+    return out, flags
 
 
 def freeze_matrix(rows: Sequence[Sequence[Numeric]]) -> tuple[tuple[int | Fraction, ...], ...]:
-    out = tuple(freeze_vector(row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise ValueError("matrix rows have inconsistent lengths")
-    return out
+    return _freeze_rows(rows)[0]
 
 
 def _coerce_fields(obj) -> None:
-    q = freeze_matrix(obj.q)
+    """Freeze the fields, keeping each vector's all-int flag for ``integer``."""
+    q, q_ints = _freeze_rows(obj.q)
     if not q or not q[0]:
         raise ValueError("matrix must have at least one row and one column")
     m, n = len(q), len(q[0])
-    c = freeze_vector(obj.c) if obj.c is not None else (0,) * m
-    d = freeze_vector(obj.d) if obj.d is not None else (0,) * n
+    c, c_int = _frozen(obj.c) if obj.c is not None else ((0,) * m, True)
+    d, d_int = _frozen(obj.d) if obj.d is not None else ((0,) * n, True)
     if len(c) != m:
         raise ValueError(f"c has length {len(c)}, expected {m}")
     if len(d) != n:
@@ -143,6 +159,7 @@ def _coerce_fields(obj) -> None:
     object.__setattr__(obj, "c", c)
     object.__setattr__(obj, "d", d)
     object.__setattr__(obj, "c0", as_fraction(obj.c0))
+    object.__setattr__(obj, "_int_vectors", (c_int, d_int, *q_ints))
 
 
 class _Shape:
@@ -198,6 +215,13 @@ class IntegerInstance(_Shape):
             return None
         return record
 
+    @cached_property
+    def nonnegative(self) -> bool:
+        """Whether every entry of q is >= 0: one scan, read by dispatch and min cut."""
+        from .analysis import detect_nonnegative  # analysis imports model
+
+        return detect_nonnegative(self.q)
+
     def _factorize(self, max_pivots: int):
         """The factorization, or None if ``max_pivots`` pivots stopped it."""
         from .analysis import RankFactorization, bareiss  # analysis imports model
@@ -233,7 +257,8 @@ class _Rational(_Shape):
     """Exact coefficients, each an int or a Fraction, and c0 a Fraction.
 
     ``integer`` is built on first use; for an all-int :class:`Instance`
-    it shares the rows of ``q``.
+    it shares the rows of ``q``.  It reads which vectors were all ints
+    from the freezing, so no entry's type is checked twice.
     """
 
     q: tuple[tuple[int | Fraction, ...], ...]
@@ -243,7 +268,8 @@ class _Rational(_Shape):
 
     @cached_property
     def integer(self) -> IntegerInstance:
-        rows = _pairs(((self.c0,), self.c, self.d, *self.q))
+        vectors = ((self.c0,), self.c, self.d, *self.q)
+        rows = list(map(_pair, vectors, (False, *self._int_vectors)))
         return integer_instance(rows, isinstance(self, CutInstance))
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bqp01.analysis
 from bqp01 import (
@@ -12,7 +14,7 @@ from bqp01 import (
     min_negative_eliminator,
     rank_factorize,
 )
-from bqp01.analysis import bareiss
+from bqp01.analysis import _rank_one, additive_mismatch, bareiss
 from bqp01.fixtures import sample_additive, sample_nonnegative, sample_rank_one
 
 from conftest import matching_size, negativity_graph, random_fraction, random_matrix
@@ -167,6 +169,109 @@ def test_bounded_rank_matches_sympy(monkeypatch):
                 assert calls == [limit + 1]
                 exact, above = (rank, above) if rank <= limit else (None, limit)
     assert at_limit > 50 and over_limit > 50
+
+
+def eliminate(matrix, max_pivots=None):
+    """Bareiss elimination exactly as ``bareiss`` ran before it recognised
+    rank <= 1 in one pass: the reference that pass must reproduce."""
+    rows = [list(row) for row in matrix]
+    m = len(rows)
+    pivots = []
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        if r + 1 == max_pivots:
+            pivots.append(col)
+            break
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top = rows[r]
+        pivot = top[col]
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i != r and (factor or pivot != prev):
+                lo = col if i > r else 0
+                row[lo:] = [(pivot * a - factor * b) // prev for a, b in zip(row[lo:], top[lo:])]
+        pivots.append(col)
+        prev = pivot
+    if prev < 0:
+        return [[-v for v in row] for row in rows], pivots, -prev
+    return rows, pivots, prev
+
+
+ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from([0, 2**31 + 1, -(2**31) - 3, 3 * 2**30]),
+    st.integers(-(2**31), 2**31),
+)
+
+
+@st.composite
+def near_rank_one(draw):
+    """Outer products a b^T times a common factor, with zero rows, leading
+    zero columns and near 2^62 entries, sometimes with one row replaced
+    (often the last, so every earlier row is a multiple); lists or tuples."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    a = draw(st.lists(ENTRIES, min_size=m, max_size=m))
+    b = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    lead = draw(st.integers(0, n))
+    b[:lead] = [0] * lead
+    g = draw(st.sampled_from([1, -1, 2, 6, 2**40]))
+    q = [[g * x * y for y in b] for x in a]
+    if m and draw(st.booleans()):
+        i = m - 1 if draw(st.booleans()) else draw(st.integers(0, m - 1))
+        q[i] = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    return [tuple(row) for row in q] if draw(st.booleans()) else q
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(near_rank_one())
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, 0, 0, 0], [0, 0, 2, -4], [0, 0, 0, 0], [0, 0, -3, 6]])
+@example([[0, 0], [2, 4], [1, 2]])
+@example([[-2, 4, 6], [1, -2, -3], [0, 0, 0]])
+@example([[1, 2, 3], [2, 4, 6], [-3, -6, -9], [1, 2, 4]])
+@example([[2**62 - 2, 2**61 - 1], [-(2**62) + 2, -(2**61) + 1], [0, 0]])
+@example([[2**62 - 2, 2**61 - 1], [-(2**62) + 2, -(2**61) + 2]])
+@example([[-7, 1]])  # integer_inverse([[-7]]) eliminates [a | 1]
+@example([[0, 1]])
+@example([])
+def test_rank_one_pass_returns_what_elimination_returns(q):
+    copy = [list(row) for row in q]
+    # The pass answers every matrix of rank <= 1, and no other.
+    assert (_rank_one(q) is None) == (len(eliminate(q)[1]) > 1)
+    for max_pivots in (None, 1, 2, 3, 7):
+        got = bareiss(q, max_pivots)
+        want = eliminate(q, max_pivots)
+        assert got == want and repr(got) == repr(want)
+        assert len({id(row) for row in got[0]}) == len(got[0])  # no row shared
+    assert [list(row) for row in q] == copy
+
+
+def test_additive_mismatch_is_the_first_one():
+    a, b = [3, -1, 4, 1, -5, 9], [2, 6, -5, 3, 5]
+    q = [[ai + bj for bj in b] for ai in a]
+    assert additive_mismatch(q) is None
+    q[4][4] += 1  # last column of a late row
+    q[5][2] -= 1
+    assert additive_mismatch(q) == (4, 4)
+    assert additive_mismatch([[Fraction(v, 3) for v in row] for row in q]) == (4, 4)
+    rng = random.Random(21)
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = [rng.randint(-3, 3) for _ in range(m)]
+        b = [rng.choice((rng.randint(-3, 3), 2**62 + 1)) for _ in range(n)]
+        q = [[ai + bj + (rng.random() < 0.1) for bj in b] for ai in a]
+        first = next(
+            ((i, j) for i in range(m) for j in range(n)
+             if q[i][j] - q[i][0] - q[0][j] + q[0][0]),
+            None,
+        )
+        assert additive_mismatch(q) == first
 
 
 def test_additive_detection_recovers_convention():

@@ -422,7 +422,7 @@ def test_cli_bench_disagreement_exit_code(instance_file, capsys, monkeypatch):
     def fake(instances, algorithms, **kw):
         raise CrossValidationError("solvers disagree on demo")
 
-    monkeypatch.setattr("bqp01.cli.bench", fake)
+    monkeypatch.setattr("bqp01.dispatch.bench", fake)
     assert main(["bench", instance_file, "--algorithms", "oracle,enum"]) == 4
     assert "cross-validation" in capsys.readouterr().err
 
@@ -745,7 +745,7 @@ def test_cli_integer_reader_prints_what_the_rational_reader_prints(tmp_path, cap
     commands += [["solve", paths[4], *limits]]  # a refusal, with its report on stderr
     commands += [["bench", *paths, "--algorithms", "auto,oracle,enum", "--format", "kv"]]
     integer = [_cli(argv, capsys) for argv in commands]
-    monkeypatch.setattr(bqp01.cli, "parse_integer_instance", parse_instance)
+    monkeypatch.setattr(bqp01.textio, "parse_integer_instance", parse_instance)
     rational = [_cli(argv, capsys) for argv in commands]
     assert integer == rational
     assert {code for code, _, _ in integer} == {0, 2}

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bqp01.analysis
 import bqp01.mincut
 from bqp01 import (
+    CutInstance,
     Eliminator,
     Instance,
     Solution,
@@ -111,6 +113,37 @@ def test_rejects_negative_matrix():
         build_cut_network(sample_general())
     with pytest.raises(ValueError):
         solve_nonnegative(sample_general())
+
+
+def test_one_negative_entry_fails_forced_min_cut_the_same_way(monkeypatch):
+    scans = []
+    original = bqp01.analysis.detect_nonnegative
+
+    def recording(matrix):
+        scans.append(len(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(bqp01.analysis, "detect_nonnegative", recording)
+    q = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]]
+    q[2][3] = -1
+    inst = Instance(q, [1, -2, 0], [0, 3, -1, 2], 4)
+    for solve in (
+        lambda: dispatch_solve(inst, "mincut"),
+        lambda: dispatch_solve(inst.integer, "mincut"),
+        lambda: solve_nonnegative(inst),
+        lambda: solve_nonnegative(inst.integer),
+        lambda: dispatch_solve(CutInstance(q), "mincut"),
+    ):
+        with pytest.raises(ValueError, match="^cost matrix has a negative entry$"):
+            solve()
+    # The instance's one record answers every later read.
+    assert scans == [3, 3]
+    q[2][3] = 0
+    scans.clear()
+    nonnegative = Instance(q, [1, -2, 0], [0, 3, -1, 2], 4)
+    assert dispatch_solve(nonnegative).algorithm == "mincut"
+    assert solve_nonnegative(nonnegative).value == exhaustive_best(nonnegative)
+    assert scans == [3]
 
 
 def test_cut_identity_everywhere():

@@ -29,6 +29,7 @@ from bqp01 import (
 )
 from bqp01.fixtures import sample_general, sample_rank_one
 from bqp01.mincut import FlowNetwork, max_flow
+from bqp01.model import _pairs, integer_instance
 
 from conftest import random_instance
 
@@ -55,6 +56,8 @@ def test_default_zero_linear_terms():
         dict(q=[[]]),
         dict(q=[[1, 2]], c=[1, 2]),
         dict(q=[[1, 2]], d=[1]),
+        dict(q=[[Fraction(1, 2), 2], [3]]),
+        dict(q=[[1, 2], [True]]),
     ],
 )
 def test_invalid_shapes_rejected(bad):
@@ -224,3 +227,31 @@ def test_public_values_are_fractions_on_int_input():
         dispatch_solve(CutInstance(inst.q, inst.c, inst.d)).solution.value,
     ]
     assert all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize(
+    "q, c, d, c0",
+    [
+        ([[1, -2], [BIG, 0]], [3, 4], [-5, 6], 7),
+        ([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(BIG, 5), Fraction(0)]],
+         [Fraction(3, 4), Fraction(1)], [Fraction(-5), Fraction(6, 7)], Fraction(7, 9)),
+        ([[1, Fraction(-2, 3)], [BIG, 0]], [3, "0.25"], None, "1/6"),
+        ([[True, 2], [False, -3]], [True, 0], [0, False], True),
+        ([[1, -2], [BIG, 0]], [3, 4], [-5, 6], Fraction(1, 3)),
+    ],
+    ids=["int", "fraction", "mixed", "bool", "int-third-c0"],
+)
+def test_integer_reads_the_freezing_type_scan(q, c, d, c0):
+    for cls in (Instance, CutInstance):
+        inst = cls(q, c, d, c0)
+        scanned = integer_instance(_pairs(((inst.c0,), inst.c, inst.d, *inst.q)), cls is CutInstance)
+        assert inst.integer == scanned
+        as_fractions = cls(
+            [[Fraction(v) for v in row] for row in inst.q],
+            [Fraction(v) for v in inst.c], [Fraction(v) for v in inst.d], inst.c0,
+        )
+        assert as_fractions == inst and hash(as_fractions) == hash(inst)
+        assert as_fractions.integer == inst.integer
+    # An int matrix keeps its rows unless a Fraction elsewhere scales them.
+    inst = Instance(q, c, d, c0)
+    assert (inst.integer.q[0] is inst.q[0]) == (q[0] == [1, -2] and c0 == 7)
