@@ -16,18 +16,16 @@ them ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from operator import countOf, floordiv, mul, sub
-from typing import Sequence
 
-from .model import clear_denominators, freeze_matrix
+from .model import Record, clear_denominators, freeze_matrix
 
 
-@dataclass(frozen=True)
-class RankFactorization:
+class RankFactorization(Record):
     """Exact factorization q = left @ right / denominator, p = rank(q).
 
     ``left`` is m x p (the pivot columns of q, so it has full column rank)
@@ -42,16 +40,14 @@ class RankFactorization:
     denominator: int = 1
 
 
-@dataclass(frozen=True)
-class AdditiveDecomposition:
+class AdditiveDecomposition(Record):
     """Vectors with q_ij = row_offsets[i] + col_offsets[j] for all i, j."""
 
     row_offsets: tuple[Fraction, ...]
     col_offsets: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Eliminator:
+class Eliminator(Record):
     """Rows and columns whose deletion leaves the matrix nonnegative.
 
     Produced minimum-size: len(rows) + len(cols) equals the maximum
@@ -90,6 +86,12 @@ def bareiss(
         found = _rank_one(matrix)
         if found is not None:
             return found
+    return _eliminate(matrix, max_pivots)
+
+
+def _eliminate(matrix: Sequence[Sequence[int]], max_pivots: int | None = None):
+    """:func:`bareiss` without the rank <= 1 pass, for a caller that knows
+    the pass cannot save an elimination."""
     rows = [list(row) for row in matrix]
     m = len(rows)
     pivots: list[int] = []

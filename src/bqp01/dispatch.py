@@ -12,7 +12,6 @@ hard if any two disagree.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -29,11 +28,10 @@ from .errors import (
     CrossValidationError,
     SolverRefusal,
 )
-from .model import CutInstance, Instance, IntegerInstance, Solution, normalize_orientation
+from .model import CutInstance, Instance, IntegerInstance, Record, Solution, normalize_orientation
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """Structure of ``work``, the integer instance the solvers run on.
 
     ``work`` is the input in 0-1 form, transposed when ``transposed`` so
@@ -80,8 +78,7 @@ class AnalysisReport:
         ]
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """A solution plus how it was obtained."""
 
     solution: Solution
@@ -223,8 +220,7 @@ def _run(
     raise AssertionError(algorithm)
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(Record):
     instance: str
     algorithm: str
     value: Fraction

@@ -21,10 +21,10 @@ below the modulus.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
 from operator import add
-from typing import Sequence
 
 from .errors import DEFAULT_ENUM_LIMIT, SolverRefusal
 from .model import IntegerInstance, Instance, Solution

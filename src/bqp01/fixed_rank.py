@@ -41,19 +41,19 @@ scored under the original objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, compress, product
 from math import comb
 from operator import itemgetter, mul, neg
-from typing import Sequence
 
-from .analysis import bareiss
+from .analysis import _eliminate
 from .enumeration import best_y_for_x, pack_column_gains
 from .errors import DEFAULT_P_LIMIT, SolverRefusal
 from .model import (
     IntegerInstance,
     Instance,
+    Record,
     Solution,
     clear_denominators,
     freeze_matrix,
@@ -61,8 +61,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class BasisStructure:
+class BasisStructure(Record):
     """Partition of x-variables into basic, at-lower-bound, at-upper-bound."""
 
     basis: tuple[int, ...]
@@ -81,10 +80,12 @@ def integer_inverse(
 
     :func:`bareiss` on [rows | I] leaves [D I | D rows^-1] with D = |det|,
     so the pair is the determinant and adjugate up to a common sign.  None
-    if the matrix is singular; the empty matrix gives (1, ()).
+    if the matrix is singular; the empty matrix gives (1, ()).  [rows | I]
+    has rank p, so the rank <= 1 pass could answer only p <= 1, where the
+    elimination is one step: it is skipped.
     """
     p = len(rows)
-    aug, pivots, det = bareiss(
+    aug, pivots, det = _eliminate(
         [list(row) + [int(i == j) for j in range(p)] for i, row in enumerate(rows)]
     )
     if pivots != list(range(p)):

@@ -39,15 +39,15 @@ paired-arc layout (``_FlowGraph``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .analysis import Eliminator
 from .errors import DEFAULT_ELIMINATOR_LIMIT, SolverRefusal
 from .model import (
     IntegerInstance,
     Instance,
+    Record,
     Solution,
     _bilinear_value,
     _freeze,
@@ -55,8 +55,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
+class FlowNetwork(Record):
     """Directed capacitated network with a distinguished source and sink."""
 
     node_count: int
@@ -239,8 +238,7 @@ def solve_nonnegative(inst: Instance | IntegerInstance) -> Solution:
     return _best_fixing(inst.integer, Eliminator((), ()))
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class ReducedInstance(Record):
     """An instance with some variables fixed and their effects folded away.
 
     Fixing x_i = 1 adds row i of q to the free d and c_i to the constant;

@@ -23,15 +23,95 @@ always 0-1 ones: a {-1,+1} cut form is rewritten where it is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import countOf, floordiv, mul
-from typing import Sequence, Union
 
-Numeric = Union[int, str, float, Fraction]
+Numeric = int | str | float | Fraction
+
+
+class Record:
+    """Base of the package's frozen records: fields from class annotations.
+
+    A subclass's fields are its base's, then the names it annotates, in
+    order; a value in the class body is that field's default.  ``__init__``
+    takes the fields by position or keyword, stores them in the instance
+    ``__dict__`` and then calls ``__post_init__``, looked up on the class
+    at call time.  Assigning or deleting an attribute raises
+    AttributeError, so a ``__post_init__`` that normalises a field writes
+    it with ``object.__setattr__``; ``cached_property`` writes the
+    ``__dict__`` itself and works as usual.  Records of the same class are
+    equal, and hash alike, when their field tuples are.  Nothing is
+    generated per class, so defining one costs no more than a plain class.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        own = [name for name in cls.__annotations__ if name not in cls._fields]
+        body = vars(cls)
+        cls._defaults = {**cls._defaults, **{name: body[name] for name in own if name in body}}
+        cls._fields = (*cls._fields, *own)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            self.__dict__.update(self._bind(args, kwargs))
+        else:
+            self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> dict:
+        """Field name -> value from the call's arguments and the defaults."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = {**cls._defaults, **dict(zip(fields, args))}
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if fields.index(key) < len(args):
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        if len(values) < len(fields):
+            missing = [key for key in fields if key not in values]
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A record of the same class with the named fields changed; the class's
+    ``__post_init__`` runs again."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
 
 
 def as_fraction(value: Numeric) -> Fraction:
@@ -162,7 +242,7 @@ def _coerce_fields(obj) -> None:
     object.__setattr__(obj, "_int_vectors", (c_int, d_int, *q_ints))
 
 
-class _Shape:
+class _Shape(Record):
     """m x n shape of the coefficient matrix ``q``."""
 
     @property
@@ -174,7 +254,6 @@ class _Shape:
         return len(self.q[0])
 
 
-@dataclass(frozen=True)
 class IntegerInstance(_Shape):
     """(q, c, d, c0) of an instance times the positive integer ``scale``.
 
@@ -252,7 +331,6 @@ def integer_instance(rows, cut: bool) -> IntegerInstance:
     return IntegerInstance(tuple(q), c, d, c0, scale, cut)
 
 
-@dataclass(frozen=True)
 class _Rational(_Shape):
     """Exact coefficients, each an int or a Fraction, and c0 a Fraction.
 
@@ -273,7 +351,6 @@ class _Rational(_Shape):
         return integer_instance(rows, isinstance(self, CutInstance))
 
 
-@dataclass(frozen=True)
 class Instance(_Rational):
     """A BQP01 instance: maximize x^T Q y + c.x + d.y + c0 over binary x, y."""
 
@@ -281,7 +358,6 @@ class Instance(_Rational):
         _coerce_fields(self)
 
 
-@dataclass(frozen=True)
 class CutInstance(_Rational):
     """Same coefficient shape as :class:`Instance`, variables in {-1, +1}."""
 
@@ -296,8 +372,7 @@ class CutInstance(_Rational):
         )
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
     """A feasible point and its exact objective value."""
 
     x: tuple[int, ...]
@@ -305,8 +380,7 @@ class Solution:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class BipartiteWeightedGraph:
+class BipartiteWeightedGraph(Record):
     """Edge-weighted bipartite graph on left part {0..m-1}, right part {0..n-1}."""
 
     m: int

@@ -23,13 +23,13 @@ an exact integer key, so no step rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .model import (
     IntegerInstance,
     Instance,
+    Record,
     Solution,
     as_fraction,
     clear_denominators,
@@ -37,8 +37,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class RankOneForm:
+class RankOneForm(Record):
     """Factored instance: maximize (a.x)(b.y) + c.x + d.y + c0.
 
     Coefficients are frozen like :class:`Instance` ones: ints stay ints,
@@ -92,8 +91,7 @@ class RankOneForm:
         return ax * by + cx + dy + self.c0
 
 
-@dataclass(frozen=True)
-class BreakpointTrack:
+class BreakpointTrack(Record):
     """Breakpoints of a piecewise-linear parametric optimum.
 
     ``values[k]`` is the envelope value at ``breakpoints[k]``.  ``groups``

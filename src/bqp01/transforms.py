@@ -7,8 +7,8 @@ suite.  All arithmetic is exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .model import (
     BipartiteWeightedGraph,

@@ -15,6 +15,7 @@ from bqp01 import (
     rank_factorize,
 )
 from bqp01.analysis import _rank_one, additive_mismatch, bareiss
+from bqp01.fixed_rank import integer_inverse
 from bqp01.fixtures import sample_additive, sample_nonnegative, sample_rank_one
 
 from conftest import matching_size, negativity_graph, random_fraction, random_matrix
@@ -250,6 +251,21 @@ def test_rank_one_pass_returns_what_elimination_returns(q):
         assert got == want and repr(got) == repr(want)
         assert len({id(row) for row in got[0]}) == len(got[0])  # no row shared
     assert [list(row) for row in q] == copy
+
+
+def test_integer_inverse_runs_no_rank_one_pass(monkeypatch):
+    """[rows | I] has rank p, so the pass could answer only p <= 1: the
+    basis inverses of rankp run the elimination alone, with its result."""
+    passes = []
+    monkeypatch.setattr(bqp01.analysis, "_rank_one", passes.append)
+    rng = random.Random(8)
+    for p in (0, 1, 1, 2, 2, 2, 3, 4):
+        rows = random_matrix(rng, p, p, -3, 3)
+        aug, pivots, det = eliminate([row + [int(i == j) for j in range(p)] for i, row in enumerate(rows)])
+        want = (det, tuple(tuple(row[p:]) for row in aug)) if pivots == list(range(p)) else None
+        assert integer_inverse(rows) == want
+    assert integer_inverse([[2, 4], [1, 2]]) is None
+    assert passes == []
 
 
 def test_additive_mismatch_is_the_first_one():

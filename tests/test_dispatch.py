@@ -510,7 +510,6 @@ def test_routes_eliminate_the_full_matrix_at_most_once(monkeypatch):
         return rows, pivots, det
 
     monkeypatch.setattr(bqp01.analysis, "bareiss", recording)
-    monkeypatch.setattr(bqp01.fixed_rank, "bareiss", recording)
     cases = [
         (generate_instance("rank1", 7, 9, 1), {}, "rank1", 1),
         (generate_instance("rank1", 9, 7, 2), {}, "rank1", 1),
@@ -525,7 +524,7 @@ def test_routes_eliminate_the_full_matrix_at_most_once(monkeypatch):
         assert dispatch_solve(inst, **limits).algorithm == route
         on_matrix = [done for m, n, done in calls if {m, n} == {inst.m, inst.n}]
         # One elimination of the matrix, which finishes only when the rank
-        # is within p_limit; rankp's small basis inverses are not counted.
+        # is within p_limit; rankp's small basis inverses skip bareiss.
         assert len(on_matrix) == 1 and on_matrix.count(True) == full_runs
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -27,9 +29,11 @@ from bqp01 import (
     transpose_instance,
     ulp_breakpoints,
 )
+from bqp01.analysis import RankFactorization
+from bqp01.fixed_rank import BasisStructure
 from bqp01.fixtures import sample_general, sample_rank_one
 from bqp01.mincut import FlowNetwork, max_flow
-from bqp01.model import _pairs, integer_instance
+from bqp01.model import IntegerInstance, Record, Solution, _pairs, integer_instance, replace
 
 from conftest import random_instance
 
@@ -255,3 +259,136 @@ def test_integer_reads_the_freezing_type_scan(q, c, d, c0):
     # An int matrix keeps its rows unless a Fraction elsewhere scales them.
     inst = Instance(q, c, d, c0)
     assert (inst.integer.q[0] is inst.q[0]) == (q[0] == [1, -2] and c0 == 7)
+
+
+# --- Record: the frozen-record base of every model class ---
+
+
+class Point(Record):
+    x: int
+    y: int = 0
+
+
+class Point3(Point):
+    z: int = 5
+
+
+def test_record_fields_come_from_annotations_base_first():
+    assert Point3._fields == ("x", "y", "z")
+    assert Instance._fields == CutInstance._fields == ("q", "c", "d", "c0")
+    assert IntegerInstance._fields == ("q", "c", "d", "c0", "scale", "cut")
+    assert Point3(1) == Point3(1, 0, 5) == Point3(z=5, x=1)
+    assert Point3(1, z=7) == Point3(1, 0, 7)
+    assert IntegerInstance(((1,),), (0,), (0,), 0, 1).cut is False
+    assert RankFactorization(1, ((1,),), ((1,),)).denominator == 1
+    assert Instance(q=[[1, 2]], c0="1/2") == Instance([[1, 2]], None, None, Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Solution((0,), (1,)), "missing arguments: value"),
+        (lambda: Point3(), "missing arguments: x"),
+        (lambda: Solution((0,), (1,), 1, 2), "takes 3 arguments but 4 were given"),
+        (lambda: Solution((0,), (1,), value=1, z=2), "unexpected keyword argument 'z'"),
+        (lambda: Solution((0,), (1,), 1, x=(1,)), "multiple values for argument 'x'"),
+        (lambda: Instance([[1]], q=[[2]]), "multiple values for argument 'q'"),
+    ],
+    ids=["missing", "missing-first", "too-many", "unknown", "repeated", "repeated-frozen"],
+)
+def test_record_construction_errors(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+def test_records_are_frozen():
+    inst = Instance([[1, 2]])
+    sol = Solution((0,), (1,), Fraction(1))
+    for obj, name in [(inst, "c0"), (inst, "m"), (inst, "new"), (sol, "value"), (Point(1), "x")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert sol.value == 1 and inst.c0 == 0
+    # __post_init__ freezing writes through object.__setattr__, and
+    # cached_property keeps its value in the instance __dict__.
+    assert inst.integer is inst.integer
+    object.__setattr__(sol, "value", Fraction(2))
+    assert sol.value == 2
+
+
+def test_record_equality_needs_the_same_class():
+    q, c, d = [[1, -2]], [3], [4, 5]
+    assert Instance(q, c, d) == Instance(q, c, d)
+    assert Instance(q, c, d) != CutInstance(q, c, d)
+    assert Point(1, 2) != Point3(1, 2, 5) and Point(1, 2) != (1, 2)
+    work = Instance(q, c, d).integer
+    fresh = Instance(q, c, d).integer
+    work.rank_at_most(1)  # cached facts are not fields
+    assert work == fresh and hash(work) == hash(fresh)
+    assert hash(Point(1, 2)) == hash((1, 2))
+    assert len({Point(1, 2), Point(1, 2), Point(2, 1)}) == 2
+
+
+def test_record_repr_lists_the_fields():
+    assert repr(Solution((0, 1), (1,), Fraction(3, 2))) == (
+        "Solution(x=(0, 1), y=(1,), value=Fraction(3, 2))"
+    )
+    assert repr(Instance([[1, 2]])) == "Instance(q=((1, 2),), c=(0,), d=(0, 0), c0=Fraction(0, 1))"
+    assert repr(Point3(1)) == "Point3(x=1, y=0, z=5)"
+
+
+def test_post_init_is_looked_up_on_the_class_at_call_time(monkeypatch):
+    calls = []
+    original = Instance.__post_init__
+
+    def recording(self):
+        calls.append(type(self).__name__)
+        original(self)
+
+    monkeypatch.setattr(Instance, "__post_init__", recording)
+    assert Instance([[1, "1/2"]]).q == ((1, Fraction(1, 2)),)
+    CutInstance([[1]])
+    monkeypatch.setattr(Solution, "__post_init__", lambda self: calls.append("Solution"))
+    Solution((0,), (1,), Fraction(0))
+    assert calls == ["Instance", "Solution"]
+
+
+def test_transpose_keeps_the_type_and_refreezes(monkeypatch):
+    calls = []
+    original = CutInstance.__post_init__
+    monkeypatch.setattr(CutInstance, "__post_init__", lambda self: calls.append(original(self)))
+    cut = CutInstance([[1, Fraction(1, 2)], [3, 4], [5, 6]], [1, 2, 3], [Fraction(1, 3), 0])
+    turned = transpose_instance(cut)
+    assert type(turned) is CutInstance and len(calls) == 2
+    assert turned.q == ((1, 3, 5), (Fraction(1, 2), 4, 6)) and turned.c == cut.d
+    # Freezing ran again, so the integer form reads the transposed vectors.
+    assert turned.integer == CutInstance(turned.q, turned.c, turned.d).integer
+    work = Instance([[1, 2], [3, 4], [5, 6]], [1, 2, 3], [4, 5]).integer
+    flipped = transpose_instance(work)
+    assert type(flipped) is IntegerInstance and flipped.scale == work.scale
+    assert transpose_instance(flipped) == work
+    assert replace(Point3(1), y=4) == Point3(1, 4, 5)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'w'"):
+        replace(Point3(1), w=4)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        Instance([[1, Fraction(1, 2)]], [3], [4, 5], "1/3"),
+        CutInstance([[1, -2]]),
+        Instance([[1, 2]]).integer,
+        Solution((0, 1), (1,), Fraction(3, 2)),
+        RankOneForm([1, 2], [3], [4, 5], [6]),
+        BasisStructure((0,), (1,), (2,)),
+    ],
+    ids=lambda obj: type(obj).__name__,
+)
+def test_records_copy_and_pickle(obj):
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
+        with pytest.raises(AttributeError):
+            twin.x = 1
+    if isinstance(obj, Instance):
+        assert pickle.loads(pickle.dumps(obj)).integer == obj.integer

@@ -79,6 +79,42 @@ def test_solve_loads_only_its_route(tmp_path, make, route, module):
     assert not set(loaded) & UNUSED_BY_SOLVE
 
 
+def imported_by_solve(path, *flags):
+    """(stdout, names of every module imported) of a ``python -m bqp01
+    solve`` child, read from its ``-X importtime`` log."""
+    result = subprocess.run(
+        [sys.executable, *flags, "-X", "importtime", "-m", "bqp01", "solve", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+        check=True,
+    )
+    log = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+    return result.stdout, {line.rsplit("|", 1)[-1].strip() for line in log}
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+@pytest.mark.parametrize(
+    "make, route",
+    [
+        (sample_nonnegative, "mincut"),
+        (sample_additive, "additive"),
+        (lambda: bqp01_to_cut(sample_rank_one()), "rank1"),
+    ],
+    ids=["nonnegative", "additive", "cut-rank1"],
+)
+def test_solve_imports_no_dataclasses_inspect_or_typing(tmp_path, make, route, flags):
+    path = tmp_path / "inst.bqp"
+    path.write_text(format_instance(make()), encoding="utf-8")
+    out, modules = imported_by_solve(path, *flags)
+    assert f"algorithm  {route}\n" in out and "bqp01.model" in modules
+    assert not modules & {"dataclasses", "inspect"}
+    if flags:
+        # Without site, nothing but the package could load typing.
+        assert "typing" not in modules
+
+
 def test_submodule_resolves_before_any_public_name():
     assert fresh(
         "import sys, json, bqp01\n"
