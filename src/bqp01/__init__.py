@@ -41,7 +41,6 @@ _EXPORTS = {
     ),
     "textio": (
         "format_instance", "format_solution", "parse_instance", "parse_integer_instance",
-        "parse_rational",
     ),
     "transforms": (
         "big_m_bound", "bmaxcut_to_bqp11h", "bqp01_to_cut", "bqp01_to_qp01",

@@ -22,7 +22,7 @@ from itertools import repeat
 from math import gcd
 from operator import countOf, floordiv, mul, sub
 
-from .model import Record, clear_denominators, freeze_matrix
+from .model import Record, _freeze_rows, _pair, _scale_pairs
 
 
 class RankFactorization(Record):
@@ -155,8 +155,8 @@ def rank_factorize(matrix: Sequence[Sequence]) -> RankFactorization:
     of RREF(q), which :func:`bareiss` gives times its determinant on the
     integer-scaled matrix.  A zero matrix yields p = 0 with empty factors.
     """
-    q = freeze_matrix(matrix)
-    rows, pivots, det = bareiss(clear_denominators(q)[0])
+    q, flags = _freeze_rows(matrix)
+    rows, pivots, det = bareiss(_scale_pairs(list(map(_pair, q, flags)))[0])
     left = tuple(tuple(row[col] for col in pivots) for row in q)
     right = tuple(tuple(Fraction(v, det) for v in row) for row in rows[: len(pivots)])
     return RankFactorization(len(pivots), left, right)

@@ -55,9 +55,10 @@ from .model import (
     Instance,
     Record,
     Solution,
+    _freeze_rows,
+    _pair,
+    _scale_pairs,
     clear_denominators,
-    freeze_matrix,
-    freeze_vector,
 )
 
 
@@ -163,8 +164,9 @@ def enumerate_dual_feasible_bases(
     Scaling ``left`` and ``c`` to integers keeps every sign.  Raises
     ValueError if no p-subset is nonsingular (column rank below p).
     """
-    left = clear_denominators(freeze_matrix(left))[0]
-    (c,), _ = clear_denominators([freeze_vector(c)])
+    left, flags = _freeze_rows(left)
+    left = _scale_pairs(list(map(_pair, left, flags)))[0]
+    (c,), _ = clear_denominators([c])
     m = len(c)
     if len(left) != m:
         raise ValueError("factor row count must match objective length")

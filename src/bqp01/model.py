@@ -12,13 +12,15 @@ from an instance are Fractions.  Instances are immutable, so they are safe
 to share between threads and to use as dictionary keys; an int-built
 instance equals, and hashes like, the same instance built from Fractions.
 
-Solvers and detectors run on plain ints.  ``_scale_pairs`` is the one
-scaling step: ``Instance.integer`` and the command line's reader
-(``textio.parse_integer_instance``) apply it once per instance, giving an
-:class:`IntegerInstance` whose objective is the original times a positive
-``scale``.  That keeps every argmax and tie, so solvers compare ints and
+Exact input reaches ints by one path.  ``_frozen`` freezes a vector and
+scans its entry types once; records keep those all-int flags for
+``_scale_pairs``, the one scaling step (behind ``Instance.integer``,
+``RankOneForm``, ``clear_denominators`` and ``parse_integer_instance``).
+An :class:`IntegerInstance` has the original objective times a positive
+``scale``: every argmax and tie is kept, so solvers compare ints and
 divide by ``scale`` only in ``Solution.value``.  Its coefficients are
-always 0-1 ones: a {-1,+1} cut form is rewritten where it is made.
+always 0-1 ones: :func:`substitute`, the one change of variables,
+rewrites a {-1,+1} cut form where it is made.
 """
 
 from __future__ import annotations
@@ -161,36 +163,31 @@ def _pair(vec: tuple, all_int: bool):
     return tuple(v.numerator for v in vec), tuple(v.denominator for v in vec)
 
 
-def _pairs(vectors: Sequence[Sequence[Fraction | int]]):
-    """The :func:`_pair` of each vector, each checked for ints by type."""
-    return [_pair(vec, _all_ints(vec)) for vec in map(tuple, vectors)]
-
-
-def clear_denominators(
-    vectors: Sequence[Sequence[Fraction | int]],
-) -> tuple[list[tuple[int, ...]], int]:
-    """Scale vectors of exact rationals to integers by one common factor k.
+def clear_denominators(vectors: Sequence[Sequence[Numeric]]) -> tuple[list[tuple[int, ...]], int]:
+    """Scale vectors of exact numbers to integers by one common factor k.
 
     Returns ([tuple(k * v for v in vector) ...], k) with k the least
     positive integer making every value integral (the lcm of the
-    denominators).  Vectors that hold only ints need no scan; when k is 1
-    they are returned as they are (as tuples), not copied.
+    denominators).  Each vector is frozen, and its types scanned, once;
+    when k is 1 all-int vectors are returned as they are (as tuples).
     """
-    return _scale_pairs(_pairs(vectors))
+    return _scale_pairs([_pair(*_frozen(vec)) for vec in vectors])
 
 
-def binary_form(q, c, d, c0):
-    """The 0-1 coefficients q~ = 4q, c~_i = 2(c_i - sum_j q_ij),
-    d~_j = 2(d_j - sum_i q_ij), c~0 = sum q - sum c - sum d + c0 of a {-1,+1}
-    form, in its own arithmetic (ints or Fractions): for every binary (w, z)
-    they satisfy f(w, z) = cut(2w - 1, 2z - 1)."""
+def substitute(q, c, d, c0, alpha, beta):
+    """Coefficients of f(alpha u + beta, alpha v + beta) in (u, v), in the
+    arithmetic of the inputs: q' = alpha^2 q, c'_i = alpha (c_i + beta
+    sum_j q_ij), d'_j likewise and c0' = beta (beta sum q + sum c + sum d)
+    + c0.  (2, -1) gives a cut form's 0-1 form, f(w, z) = cut(2w - 1,
+    2z - 1), and (1/2, 1/2) inverts it."""
     row_sums = [sum(row) for row in q]
     col_sums = [sum(col) for col in zip(*q)]
+    square = alpha * alpha
     return (
-        tuple(tuple(4 * v for v in row) for row in q),
-        tuple(2 * (ci - s) for ci, s in zip(c, row_sums)),
-        tuple(2 * (dj - s) for dj, s in zip(d, col_sums)),
-        sum(row_sums) - sum(c) - sum(d) + c0,
+        tuple(tuple(map(mul, row, repeat(square))) for row in q),
+        tuple(alpha * (ci + beta * s) for ci, s in zip(c, row_sums)),
+        tuple(alpha * (dj + beta * s) for dj, s in zip(d, col_sums)),
+        beta * (beta * sum(row_sums) + sum(c) + sum(d)) + c0,
     )
 
 
@@ -263,7 +260,7 @@ class IntegerInstance(_Shape):
 
     The coefficients are the 0-1 ones the solvers read.  ``cut`` marks an
     instance made from the {-1,+1} cut form (``CutInstance.integer``, or
-    ``parse_integer_instance`` of a bqp11 file) by ``binary_form``, at the
+    ``parse_integer_instance`` of a bqp11 file) by ``substitute``, at the
     cut form's scale; ``dispatch_solve`` reports its points as signs.
     """
 
@@ -323,11 +320,11 @@ class IntegerInstance(_Shape):
 
 def integer_instance(rows, cut: bool) -> IntegerInstance:
     """The IntegerInstance of the pair rows (c0,), c, d, q_1 ... q_m of
-    :func:`_scale_pairs`, rewritten by :func:`binary_form` if ``cut``."""
+    :func:`_scale_pairs`, taken to 0-1 form by :func:`substitute` if ``cut``."""
     ints, scale = _scale_pairs(rows)
     (c0,), c, d, *q = ints
     if cut:
-        q, c, d, c0 = binary_form(q, c, d, c0)
+        q, c, d, c0 = substitute(q, c, d, c0, 2, -1)
     return IntegerInstance(tuple(q), c, d, c0, scale, cut)
 
 
@@ -365,11 +362,7 @@ class CutInstance(_Rational):
         _coerce_fields(self)
 
     def is_homogeneous(self) -> bool:
-        return (
-            all(v == 0 for v in self.c)
-            and all(v == 0 for v in self.d)
-            and self.c0 == 0
-        )
+        return not any(self.c) and not any(self.d) and self.c0 == 0
 
 
 class Solution(Record):
@@ -429,11 +422,14 @@ def _bilinear_value(q, c, d, c0, x, y):
     return total
 
 
-def evaluate_objective(inst: Instance, x: Sequence[int], y: Sequence[int]) -> Fraction:
-    """Exact objective value of ``inst`` at the binary point (x, y)."""
+def evaluate_objective(inst, x: Sequence[int], y: Sequence[int]) -> Fraction:
+    """Exact objective value of ``inst`` at the binary point (x, y).  An
+    :class:`IntegerInstance` gives its source's, dividing by ``scale``: for
+    a ``cut`` one, the cut value at (2x - 1, 2y - 1)."""
     _check_assignment(x, inst.m, (0, 1), "x")
     _check_assignment(y, inst.n, (0, 1), "y")
-    return _bilinear_value(inst.q, inst.c, inst.d, inst.c0, x, y)
+    value = _bilinear_value(inst.q, inst.c, inst.d, inst.c0, x, y)
+    return Fraction(value, inst.scale) if isinstance(inst, IntegerInstance) else value
 
 
 def evaluate_cut_objective(cut: CutInstance, x: Sequence[int], y: Sequence[int]) -> Fraction:

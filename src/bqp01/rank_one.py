@@ -31,9 +31,10 @@ from .model import (
     Instance,
     Record,
     Solution,
+    _frozen,
+    _pair,
+    _scale_pairs,
     as_fraction,
-    clear_denominators,
-    freeze_vector,
 )
 
 
@@ -41,7 +42,8 @@ class RankOneForm(Record):
     """Factored instance: maximize (a.x)(b.y) + c.x + d.y + c0.
 
     Coefficients are frozen like :class:`Instance` ones: ints stay ints,
-    other numbers become Fractions, and c0 is always a Fraction.
+    other numbers become Fractions, and c0 is always a Fraction.  Which
+    vectors were all ints is kept from the freezing for the integer copy.
     """
 
     a: tuple[int | Fraction, ...]
@@ -51,11 +53,11 @@ class RankOneForm(Record):
     c0: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", freeze_vector(self.a))
-        object.__setattr__(self, "b", freeze_vector(self.b))
-        object.__setattr__(self, "c", freeze_vector(self.c))
-        object.__setattr__(self, "d", freeze_vector(self.d))
+        vectors, flags = zip(*map(_frozen, (self.a, self.b, self.c, self.d)))
+        for name, vec in zip("abcd", vectors):
+            object.__setattr__(self, name, vec)
         object.__setattr__(self, "c0", as_fraction(self.c0))
+        object.__setattr__(self, "_int_vectors", flags)
         if len(self.a) != len(self.c):
             raise ValueError("a and c must have equal length")
         if len(self.b) != len(self.d):
@@ -136,9 +138,10 @@ def _integer_form(source: RankOneForm | Instance | IntegerInstance):
     """Integer copy (A, B, C, D, C0) and its axis and slope scales ka, kb.
 
     A = ka*a, B = kb*b and the linear terms are scaled by ka*kb, as is the
-    objective.  A form takes ka = kb = k from ``clear_denominators``.  An
-    instance's integer q is left right / denominator by ``rank_at_most(1)``:
-    A is the pivot column, B the factor row, ka its scale, kb the denominator.
+    objective.  A form takes ka = kb = k from ``_scale_pairs``, reading
+    which vectors its freezing found all ints.  An instance's integer q is
+    left right / denominator by ``rank_at_most(1)``: A is the pivot column,
+    B the factor row, ka its scale, kb the denominator.
     """
     if not isinstance(source, RankOneForm):
         work = source.integer
@@ -150,7 +153,7 @@ def _integer_form(source: RankOneForm | Instance | IntegerInstance):
         b = fact.right[0] if fact.p else (0,) * work.n
         return a, b, [k * v for v in work.c], [k * v for v in work.d], k * work.c0, work.scale, k
     vectors = source.a, source.b, source.c, source.d, (source.c0,)
-    (a, b, c, d, (c0,)), k = clear_denominators(vectors)
+    (a, b, c, d, (c0,)), k = _scale_pairs(list(map(_pair, vectors, (*source._int_vectors, False))))
     if k > 1:
         c, d, c0 = [k * x for x in c], [k * x for x in d], k * c0
     return a, b, c, d, c0, k, k

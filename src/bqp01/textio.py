@@ -62,22 +62,6 @@ def _ratio(token: str, line: int | None = None) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def parse_rational(token: str, line: int | None = None) -> int | Fraction:
-    """Parse a sign/decimal/rational token exactly: an int when the token
-    is a plain integer, else a Fraction.
-
-    A token without '/', '.' or '_' is tried as an int first (``int`` and
-    ``Fraction`` agree on those; before Python 3.11 ``Fraction`` rejects
-    underscores, so they always take the ``Fraction`` path).
-    """
-    if "/" not in token and "." not in token and "_" not in token:
-        try:
-            return int(token)
-        except ValueError:
-            pass
-    return Fraction(*_ratio(token, line))
-
-
 def _integer_row(tokens: list[str], line: int, body: str):
     """(numerators, denominators) of the tokens; denominators None for an all-int row."""
     if "_" not in body:
@@ -163,7 +147,10 @@ def parse_integer_instance(text: str) -> IntegerInstance:
 
 
 def format_instance(inst: Instance | CutInstance) -> str:
-    """Canonical text form; parse(format(inst)) reproduces inst exactly."""
+    """Canonical text form; parse(format(inst)) reproduces inst exactly.
+    Raises TypeError on a scaled, always 0-1 :class:`IntegerInstance`."""
+    if isinstance(inst, IntegerInstance):
+        raise TypeError("an IntegerInstance is scaled; format the instance it came from")
     header = "bqp01" if isinstance(inst, Instance) else "bqp11"
     lines = [
         header,

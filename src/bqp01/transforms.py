@@ -2,7 +2,8 @@
 
 Every transformation preserves objective values through an explicit affine
 identity, stated in each docstring and exercised point-by-point in the test
-suite.  All arithmetic is exact.
+suite.  All arithmetic is exact.  Both directions between the 0-1 and the
+{-1,+1} cut form are one change of variables, ``model.substitute``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from .model import (
     Instance,
     IntegerInstance,
     as_fraction,
-    binary_form,
     freeze_matrix,
     freeze_vector,
+    substitute,
 )
 
 
@@ -28,15 +29,8 @@ def big_m_bound(inst: Instance | CutInstance) -> Fraction:
     1 + sum|q_ij| + sum|c_i| + sum|d_j| + |c0|.  Any penalty of this size
     dominates every feasible objective difference.
     """
-    total = Fraction(1) + abs(inst.c0)
-    for row in inst.q:
-        for v in row:
-            total += abs(v)
-    for v in inst.c:
-        total += abs(v)
-    for v in inst.d:
-        total += abs(v)
-    return total
+    entries = sum(abs(v) for row in inst.q for v in row)
+    return Fraction(1) + abs(inst.c0) + entries + sum(map(abs, inst.c)) + sum(map(abs, inst.d))
 
 
 def to_homogeneous(inst: Instance) -> tuple[Instance, Fraction]:
@@ -61,35 +55,26 @@ def to_homogeneous(inst: Instance) -> tuple[Instance, Fraction]:
 def bqp01_to_cut(inst: Instance) -> CutInstance:
     """Rewrite a 0-1 instance over {-1,+1} variables.
 
-    With hat coefficients q^ = q/4, c^_i = (sum_j q_ij)/4 + c_i/2,
-    d^_j = (sum_i q_ij)/4 + d_j/2 and the matching constant, the identity
-    cut(2x - 1, 2y - 1) = f(x, y) holds for every binary (x, y).
+    ``model.substitute`` at alpha = beta = 1/2 gives q^ = q/4,
+    c^_i = (sum_j q_ij)/4 + c_i/2, d^_j = (sum_i q_ij)/4 + d_j/2 and the
+    matching constant, so cut(2x - 1, 2y - 1) = f(x, y) for every binary
+    (x, y).  Every coefficient is a Fraction.
     """
-    m, n = inst.m, inst.n
-    row_sums = [sum(row) for row in inst.q]
-    col_sums = [sum(inst.q[i][j] for i in range(m)) for j in range(n)]
-    q = tuple(tuple(Fraction(v, 4) for v in row) for row in inst.q)
-    c = tuple(Fraction(row_sums[i], 4) + Fraction(inst.c[i], 2) for i in range(m))
-    d = tuple(Fraction(col_sums[j], 4) + Fraction(inst.d[j], 2) for j in range(n))
-    c0 = (
-        Fraction(sum(row_sums), 4)
-        + Fraction(sum(inst.c), 2)
-        + Fraction(sum(inst.d), 2)
-        + inst.c0
-    )
-    return CutInstance(q, c, d, c0)
+    half = Fraction(1, 2)
+    return CutInstance(*substitute(inst.q, inst.c, inst.d, inst.c0, half, half))
 
 
 def cut_to_bqp01(cut: CutInstance) -> Instance:
     """Rewrite a {-1,+1} instance over binary variables.
 
-    ``model.binary_form`` gives f(w, z) = cut(2w - 1, 2z - 1) for every
-    binary (w, z); inverse of :func:`bqp01_to_cut`.  Raises TypeError on an
-    :class:`IntegerInstance`, which holds this rewrite already.
+    ``model.substitute`` at (2, -1) gives f(w, z) = cut(2w - 1, 2z - 1)
+    for every binary (w, z); inverse of :func:`bqp01_to_cut`.  Raises
+    TypeError on an :class:`IntegerInstance`, which holds this rewrite
+    already.
     """
     if isinstance(cut, IntegerInstance):
         raise TypeError("an IntegerInstance already holds 0-1 coefficients")
-    return Instance(*binary_form(cut.q, cut.c, cut.d, cut.c0))
+    return Instance(*substitute(cut.q, cut.c, cut.d, cut.c0, 2, -1))
 
 
 def qp01_to_bqp01(
@@ -132,17 +117,9 @@ def bqp01_to_qp01(
     upper-right block and zeros elsewhere, and cbar = (c | d).  For
     w = (x | y), w^T Qbar w + cbar.w + c0 = f(x, y).
     """
-    m, n = inst.m, inst.n
-    size = m + n
     zero = Fraction(0)
-    rows = []
-    for i in range(size):
-        if i < m:
-            rows.append((zero,) * m + tuple(inst.q[i]))
-        else:
-            rows.append((zero,) * size)
-    cbar = tuple(inst.c) + tuple(inst.d)
-    return tuple(rows), cbar, inst.c0
+    rows = [(zero,) * inst.m + row for row in inst.q] + [(zero,) * (inst.m + inst.n)] * inst.n
+    return tuple(rows), inst.c + inst.d, inst.c0
 
 
 def bqp11h_to_bmaxcut(cut: CutInstance) -> BipartiteWeightedGraph:

@@ -78,3 +78,18 @@ def matching_size(q) -> int:
 
 def random_fraction(rng, denom_max=4, num_max=8):
     return Fraction(rng.randint(-num_max, num_max), rng.randint(1, denom_max))
+
+
+def assert_mutual_best_response(inst, x, y):
+    """Assert that no single flip improves the 0-1 point (x, y) of ``inst``.
+
+    x_i = 1 needs the gain c_i + sum_j q_ij y_j >= 0 and x_i = 0 needs it
+    <= 0; likewise y_j against d_j + sum_i q_ij x_i.  Every optimum is such
+    a point, so this checks a route's point without knowing the optimum.
+    """
+    for i, (row, gain, xi) in enumerate(zip(inst.q, inst.c, x)):
+        gain += sum(v for v, yj in zip(row, y) if yj)
+        assert gain >= 0 if xi else gain <= 0, f"x[{i}] = {xi} against gain {gain}"
+    for j, gain in enumerate(inst.d):
+        gain += sum(row[j] for row, xi in zip(inst.q, x) if xi)
+        assert gain >= 0 if y[j] else gain <= 0, f"y[{j}] = {y[j]} against gain {gain}"

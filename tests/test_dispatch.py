@@ -217,13 +217,13 @@ def test_bench_analyzes_each_instance_once(monkeypatch):
 
 
 def test_wall_time_covers_cut_form_conversion(monkeypatch):
-    real = bqp01.model.binary_form
+    real = bqp01.model.substitute
 
     def slow(*coefficients):
         time.sleep(0.2)
         return real(*coefficients)
 
-    monkeypatch.setattr(bqp01.model, "binary_form", slow)
+    monkeypatch.setattr(bqp01.model, "substitute", slow)
     report = dispatch_solve(CutInstance([[1, -2], [3, 0]], [1, 0], [0, 1], 0))
     assert report.wall_time >= 0.2
 
@@ -300,13 +300,13 @@ def test_cli_dump_converts_and_eliminates_a_cut_file_once(
     assert main(["transform", str(plain), "--to", "cut"]) == 0
     cut.write_text(capsys.readouterr().out, encoding="utf-8")
     conversions = []
-    real = bqp01.model.binary_form
+    real = bqp01.model.substitute
 
     def counted(*coefficients):
         conversions.append(len(coefficients[0]))
         return real(*coefficients)
 
-    monkeypatch.setattr(bqp01.model, "binary_form", counted)
+    monkeypatch.setattr(bqp01.model, "substitute", counted)
     assert main(["solve", str(cut), "--dump-breakpoints"]) == 0
     assert "# convex-y track" in capsys.readouterr().out
     assert conversions == [30] and len(full_eliminations) == 1

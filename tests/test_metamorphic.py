@@ -5,12 +5,26 @@ moves c_i into c0 and negates c_i.  Every point keeps its objective value
 under the matching complement, so the optimum value is unchanged, and
 the rank of q is unchanged, so forced ``rankp`` must give the same value on
 both instances.  Instances are rank 2 or 3, up to 8 x 12, with planted ties.
+
+Above the oracle's sizes, up to 12 x 40, two routes are checked against
+each other the same way.  Complementing rows S of a nonnegative q leaves
+its negative entries in rows S, so forced ``mincut`` on the original and
+forced ``eliminator`` on the image must agree; complementing rows of a
+rank-one q keeps it rank one, so forced ``rank1`` must agree on both.  The
+linear terms are balanced (c_i = -floor(row sum / 2), d_j likewise), so
+bounds decide few variables, and entries reach past 2^53.  Every point is
+checked to be a mutual best response.
 """
 
+import random
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bqp01 import Instance, dispatch_solve, solve_enumeration
+from bqp01 import Instance, dispatch_solve, evaluate_objective, solve_enumeration
+
+from conftest import assert_mutual_best_response
 
 METAMORPHIC = settings(
     max_examples=80,
@@ -70,3 +84,66 @@ def test_rankp_optimum_is_invariant_under_complementing_rows(inst, data):
     value = dispatch_solve(inst, "rankp").solution.value
     assert dispatch_solve(flipped, "rankp").solution.value == value
     assert solve_enumeration(flipped).value == value
+
+
+def balanced(q):
+    """Instance(q) with c_i = -floor(row sum / 2) and d_j = -floor(column sum / 2)."""
+    return Instance(q, [-(sum(row) // 2) for row in q], [-(sum(col) // 2) for col in zip(*q)])
+
+
+def random_shape(rng):
+    return rng.randint(2, 12), rng.randint(1, 40)
+
+
+def nonnegative_matrix(rng):
+    m, n = random_shape(rng)
+    huge = rng.random() / 2
+
+    def entry():
+        return 2**53 + rng.randint(0, 2**40) if rng.random() < huge else rng.randint(0, 9)
+
+    return [[entry() for _ in range(n)] for _ in range(m)]
+
+
+def rank_one_matrix(rng):
+    m, n = random_shape(rng)
+
+    def factor(size):
+        return [rng.choice((-1, 1)) * rng.choice((rng.randint(0, 9), rng.randint(2**27, 2**31)))
+                for _ in range(size)]
+
+    a, b = factor(m), factor(n)
+    return [[ai * bj for bj in b] for ai in a]
+
+
+def check_route_pair(inst, original, flipped, image, rows):
+    """Each point a best response; equal optima; the image's point, mapped
+    back, has its value on the original."""
+    assert_mutual_best_response(inst, original.x, original.y)
+    assert_mutual_best_response(flipped, image.x, image.y)
+    assert image.value == original.value
+    back = [1 - v if i in rows else v for i, v in enumerate(image.x)]
+    assert evaluate_objective(inst, back, image.y) == image.value
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mincut_and_eliminator_agree_across_a_row_complement(seed):
+    rng = random.Random(seed)
+    inst = balanced(nonnegative_matrix(rng))
+    rows = set(rng.sample(range(inst.m), rng.randint(1, min(inst.m, 5))))
+    flipped = complement_rows(inst, rows)
+    assert all(v >= 0 for i, row in enumerate(flipped.q) if i not in rows for v in row)
+    original = dispatch_solve(inst, "mincut").solution
+    image = dispatch_solve(flipped, "eliminator").solution
+    check_route_pair(inst, original, flipped, image, rows)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank1_optimum_is_invariant_under_complementing_rows(seed):
+    rng = random.Random(seed)
+    inst = balanced(rank_one_matrix(rng))
+    rows = set(rng.sample(range(inst.m), rng.randint(1, inst.m)))
+    flipped = complement_rows(inst, rows)
+    original = dispatch_solve(inst, "rank1").solution
+    image = dispatch_solve(flipped, "rank1").solution
+    check_route_pair(inst, original, flipped, image, rows)

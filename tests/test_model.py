@@ -18,6 +18,7 @@ from bqp01 import (
     min_negative_eliminator,
     normalize_orientation,
     parse_instance,
+    parse_integer_instance,
     pkp_breakpoints,
     solve_additive,
     solve_enumeration,
@@ -29,13 +30,36 @@ from bqp01 import (
     transpose_instance,
     ulp_breakpoints,
 )
-from bqp01.analysis import RankFactorization
-from bqp01.fixed_rank import BasisStructure
+from bqp01 import model, rank_one
+from bqp01.analysis import RankFactorization, bareiss, rank_factorize
+from bqp01.fixed_rank import BasisStructure, enumerate_dual_feasible_bases
 from bqp01.fixtures import sample_general, sample_rank_one
 from bqp01.mincut import FlowNetwork, max_flow
-from bqp01.model import IntegerInstance, Record, Solution, _pairs, integer_instance, replace
+from bqp01.model import (
+    IntegerInstance,
+    Record,
+    Solution,
+    _all_ints,
+    _pair,
+    _scale_pairs,
+    as_fraction,
+    clear_denominators,
+    freeze_matrix,
+    freeze_vector,
+    integer_instance,
+    replace,
+)
+from bqp01.rank_one import _integer_form as rank_one_integer_form
+from bqp01.textio import _read
+from bqp01.transforms import bqp01_to_cut, cut_to_bqp01
 
 from conftest import random_instance
+
+
+def _pairs(vectors):
+    """Each vector's :func:`_pair`, its types scanned here: the pairing that
+    ``clear_denominators`` once ran on vectors its callers had frozen."""
+    return [_pair(vec, _all_ints(vec)) for vec in map(tuple, vectors)]
 
 
 def test_coercion_to_exact_fractions():
@@ -100,6 +124,20 @@ def test_evaluate_is_order_independent():
         terms += [inst.d[j] for j in range(inst.n) if y[j]]
         rng.shuffle(terms)
         assert sum(terms, Fraction(0)) == expected
+
+
+def test_evaluate_integer_form_divides_by_its_scale():
+    inst = Instance([[1, -2], [0, 3]], [Fraction(1, 3), 1], [Fraction(-1, 2), 2], Fraction(1, 6))
+    work = inst.integer
+    assert work.scale == 6
+    assert evaluate_objective(work, (0, 1), (0, 1)) == Fraction(37, 6)
+    cut = CutInstance(inst.q, inst.c, inst.d, inst.c0)
+    for x in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+        for y in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            assert evaluate_objective(work, x, y) == evaluate_objective(inst, x, y)
+            signs = [2 * v - 1 for v in x], [2 * v - 1 for v in y]
+            value = evaluate_objective(cut.integer, x, y)
+            assert type(value) is Fraction and value == evaluate_cut_objective(cut, *signs)
 
 
 def test_cut_evaluation_and_validation():
@@ -392,3 +430,150 @@ def test_records_copy_and_pickle(obj):
             twin.x = 1
     if isinstance(obj, Instance):
         assert pickle.loads(pickle.dumps(obj)).integer == obj.integer
+
+
+# --- one path from exact input to ints, against copies of the earlier code ---
+#
+# Each exact entry point once froze its input and then scanned its types
+# again, and the 0-1 <-> {-1,+1} rewrites were two hand-written formulas.
+# These copies of that code (with ``_pairs`` above) are the references.
+
+
+def _binary_form(q, c, d, c0):
+    row_sums = [sum(row) for row in q]
+    col_sums = [sum(col) for col in zip(*q)]
+    return (
+        tuple(tuple(4 * v for v in row) for row in q),
+        tuple(2 * (ci - s) for ci, s in zip(c, row_sums)),
+        tuple(2 * (dj - s) for dj, s in zip(d, col_sums)),
+        sum(row_sums) - sum(c) - sum(d) + c0,
+    )
+
+
+def _bqp01_to_cut(inst):
+    m, n = inst.m, inst.n
+    row_sums = [sum(row) for row in inst.q]
+    col_sums = [sum(inst.q[i][j] for i in range(m)) for j in range(n)]
+    q = tuple(tuple(Fraction(v, 4) for v in row) for row in inst.q)
+    c = tuple(Fraction(row_sums[i], 4) + Fraction(inst.c[i], 2) for i in range(m))
+    d = tuple(Fraction(col_sums[j], 4) + Fraction(inst.d[j], 2) for j in range(n))
+    c0 = Fraction(sum(row_sums), 4) + Fraction(sum(inst.c), 2) + Fraction(sum(inst.d), 2) + inst.c0
+    return CutInstance(q, c, d, c0)
+
+
+def _integer_instance(rows, cut):
+    ints, scale = _scale_pairs(rows)
+    (c0,), c, d, *q = ints
+    if cut:
+        q, c, d, c0 = _binary_form(q, c, d, c0)
+    return IntegerInstance(tuple(q), c, d, c0, scale, cut)
+
+
+def _clear_denominators(vectors):
+    """The earlier scaling, on vectors frozen first as its callers did."""
+    return _scale_pairs(_pairs(map(freeze_vector, vectors)))
+
+
+def _rank_factorize(matrix):
+    q = freeze_matrix(matrix)
+    rows, pivots, det = bareiss(_clear_denominators(q)[0])
+    left = tuple(tuple(row[col] for col in pivots) for row in q)
+    right = tuple(tuple(Fraction(v, det) for v in row) for row in rows[: len(pivots)])
+    return RankFactorization(len(pivots), left, right)
+
+
+def _form_integers(source):
+    if not isinstance(source, RankOneForm):
+        return rank_one_integer_form(source)
+    vectors = source.a, source.b, source.c, source.d, (source.c0,)
+    (a, b, c, d, (c0,)), k = _scale_pairs(_pairs(vectors))
+    if k > 1:
+        c, d, c0 = [k * x for x in c], [k * x for x in d], k * c0
+    return a, b, c, d, c0, k, k
+
+
+def _typed(value):
+    """``value`` with the type of every container and leaf; a record by fields."""
+    if isinstance(value, Record):
+        return type(value), _typed(value._values())
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(map(_typed, value))
+    return type(value), value
+
+
+def _outcome(call, *args):
+    try:
+        return _typed(call(*args))
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+HUGE = 2**53 + 1
+EXACT_INPUTS = {
+    "ints": ([[1, -2, 0], [BIG, 0, 3]], [3, 4], [-5, 6, 0], 7),
+    "fractions": (
+        [[Fraction(1, 2), Fraction(-2, 3), Fraction(0)],
+         [Fraction(BIG, 5), Fraction(0), Fraction(3)]],
+        [Fraction(3, 4), Fraction(1)], [Fraction(-5), Fraction(6, 7), Fraction(2)], Fraction(7, 9),
+    ),
+    "decimal-strings": ([["0.5", "-2.25", "0"], ["1e3", "3", "-0.125"]], ["1.5", "2"],
+                        ["0", "-3.75", "1/3"], "0.1"),
+    "huge": ([[HUGE, -(2**60) - 3, 2**64], [Fraction(2**55 + 1, 3), 1, 0]],
+             [HUGE + 1, Fraction(-(2**54) - 1, 7)], [2**61, 0, -1], HUGE),
+    "zeros": ([[0, 0, 0], [0, 0, 0]], [0, 0], [0, 0, 0], 0),
+    "zero-fractions": ([[Fraction(0)] * 3] * 2, [Fraction(0)] * 2, [Fraction(0)] * 3, Fraction(0)),
+}
+
+
+@pytest.mark.parametrize("coefficients", EXACT_INPUTS.values(), ids=EXACT_INPUTS)
+def test_exact_entry_points_match_the_earlier_code(coefficients, monkeypatch):
+    q, c, d, c0 = coefficients
+    vectors = ([c0], c, d, *q)
+    assert _typed(clear_denominators(vectors)) == _typed(_clear_denominators(vectors))
+    for cls in (Instance, CutInstance):
+        inst = cls(q, c, d, c0)
+        frozen = ((inst.c0,), inst.c, inst.d, *inst.q)
+        expected = _typed(_integer_instance(_pairs(frozen), cls is CutInstance))
+        assert _typed(inst.integer) == expected
+        text = format_instance(inst)
+        header, rows = _read(text)
+        parsed = _typed(parse_integer_instance(text))
+        assert parsed == expected == _typed(_integer_instance(rows, header == "bqp11"))
+    inst, cut = Instance(q, c, d, c0), CutInstance(q, c, d, c0)
+    assert _typed(bqp01_to_cut(inst)) == _typed(_bqp01_to_cut(inst))
+    assert _typed(cut_to_bqp01(cut)) == _typed(Instance(*_binary_form(cut.q, cut.c, cut.d, cut.c0)))
+    for matrix in (q, list(zip(*q))):
+        assert _outcome(rank_factorize, matrix) == _outcome(_rank_factorize, matrix)
+    left, objective = list(zip(*q)), d
+    scaled = (_clear_denominators(freeze_matrix(left))[0], _clear_denominators([objective])[0][0])
+    assert _outcome(enumerate_dual_feasible_bases, left, objective) == _outcome(
+        enumerate_dual_feasible_bases, *scaled
+    )
+    form = RankOneForm(q[0], c, q[1], c[::-1], c0)
+    fields = (*map(freeze_vector, (q[0], c, q[1], c[::-1])), as_fraction(c0))
+    assert _typed(form._values()) == _typed(fields)
+    assert _typed(rank_one_integer_form(form)) == _typed(_form_integers(form))
+    solved = _typed(solve_rank_one(form))
+    monkeypatch.setattr(rank_one, "_integer_form", _form_integers)
+    assert solved == _typed(solve_rank_one(form))
+
+
+def test_each_input_vector_is_type_scanned_once(monkeypatch):
+    calls = []
+    real = model._all_ints
+
+    def counted(vec):
+        calls.append(len(vec))
+        return real(vec)
+
+    monkeypatch.setattr(model, "_all_ints", counted)
+    solve_rank_one(RankOneForm([1, -2], [BIG, 0, 3], [3, Fraction(1, 2)], [-5, "6", 0], 7))
+    assert calls == [2, 3, 2, 3]
+    left = [[1, 2], [3, Fraction(1, 2)], [0, 5], [7, -1], [2, 2]]
+    for call, args, scans in [
+        (enumerate_dual_feasible_bases, (left, [1, -1, "2.5", 0, 3]), len(left) + 1),
+        (rank_factorize, (left,), len(left)),
+    ]:
+        calls.clear()
+        call(*args)
+        assert len(calls) == scans

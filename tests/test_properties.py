@@ -5,8 +5,9 @@ ints, rationals with large coprime denominators, and ints above 2^53 (where
 float ratio keys collide), in shapes 1 x n, m > n and m <= n, including the
 zero matrix and structured matrices that the specialized solvers accept.
 Each optimum is checked against ``solve_oracle`` and against the plain
-Fraction scan of ``conftest.exhaustive_best``.  Instances built from ints
-must have the integer form of the same instance built from Fractions.
+Fraction scan of ``conftest.exhaustive_best``, and each route's point is
+checked to be a mutual best response.  Instances built from ints must have
+the integer form of the same instance built from Fractions.
 """
 
 from fractions import Fraction
@@ -36,7 +37,7 @@ from bqp01 import (
     solve_with_eliminator,
 )
 
-from conftest import exhaustive_best
+from conftest import assert_mutual_best_response, exhaustive_best
 
 PROPERTY = settings(
     max_examples=120,
@@ -101,6 +102,7 @@ def test_every_applicable_solver_matches_the_oracle(coeffs):
     assert best == exhaustive_best(inst)
     for name in applicable(inst):
         sol = dispatch_solve(inst, name).solution
+        assert_mutual_best_response(inst, sol.x, sol.y)
         assert sol.value == best, name
         assert evaluate_objective(inst, sol.x, sol.y) == best, name
 
@@ -117,6 +119,7 @@ def test_every_applicable_solver_matches_the_oracle(coeffs):
     if detect_nonnegative(inst.q):
         direct.append(solve_nonnegative(inst))
     for sol in direct:
+        assert_mutual_best_response(inst, sol.x, sol.y)
         assert sol.value == best
         assert evaluate_objective(inst, sol.x, sol.y) == best
 
@@ -130,8 +133,11 @@ def test_cut_form_solvers_match_the_sign_space_optimum(coeffs):
         for x in product((-1, 1), repeat=cut.m)
         for y in product((-1, 1), repeat=cut.n)
     )
-    for name in applicable(cut_to_bqp01(cut)):
+    binary = cut_to_bqp01(cut)
+    for name in applicable(binary):
         sol = dispatch_solve(cut, name).solution
+        bits = [(s + 1) // 2 for s in sol.x], [(s + 1) // 2 for s in sol.y]
+        assert_mutual_best_response(binary, *bits)
         assert sol.value == best, name
         assert evaluate_cut_objective(cut, sol.x, sol.y) == best, name
 
@@ -175,5 +181,7 @@ def test_rank_one_sweep_orders_float_equal_ratios_exactly(big, gap, swap):
     inst = Instance([[-high], [-high]], c, [high + low], 0)
     best = c2 + low
     assert solve_oracle(inst).value == best
-    assert solve_rank_one(RankOneForm.from_instance(inst)).value == best
-    assert dispatch_solve(inst, "rank1").solution.value == best
+    direct = solve_rank_one(RankOneForm.from_instance(inst))
+    for sol in (direct, dispatch_solve(inst, "rank1").solution):
+        assert_mutual_best_response(inst, sol.x, sol.y)
+        assert sol.value == best

@@ -15,7 +15,6 @@ from bqp01 import (
     format_solution,
     parse_instance,
     parse_integer_instance,
-    parse_rational,
 )
 from bqp01.fixtures import sample_general
 from bqp01.textio import _ratio
@@ -40,14 +39,21 @@ def test_parse_sample():
     assert inst == sample_general()
 
 
+def _c0_file(token: str) -> str:
+    """A 1 x 1 instance whose constant c0 (line 3) is ``token``."""
+    return f"bqp01\n1 1\n{token}\n0\n0\n0\n"
+
+
 def test_exact_number_grammar():
-    assert parse_rational("7/3") == Fraction(7, 3)
-    assert parse_rational("-2.5") == Fraction(-5, 2)
-    assert parse_rational("+4") == 4
-    with pytest.raises(ParseError):
-        parse_rational("nope")
-    with pytest.raises(ParseError):
-        parse_rational("1/0")
+    assert _ratio("7/3") == (7, 3)
+    assert Fraction(*_ratio("-2.5")) == Fraction(-5, 2)
+    assert _ratio("+4") == (4, 1)
+    assert parse_instance(_c0_file("-2.5")).c0 == Fraction(-5, 2)
+    for bad in ("nope", "1/0"):
+        with pytest.raises(ParseError):
+            _ratio(bad)
+        with pytest.raises(ParseError, match="line 3"):
+            parse_instance(_c0_file(bad))
 
 
 @pytest.mark.parametrize("token", ["1_0", "+7", "-0", "\u0663", "1e3", "0x10", "00", "12/4", "3.0"])
@@ -56,14 +62,17 @@ def test_integer_fast_path_accepts_what_fraction_accepts(token):
         expected = Fraction(token)
     except ValueError:
         with pytest.raises(ParseError):
-            parse_rational(token)
+            _ratio(token)
         return
-    assert parse_rational(token) == expected
+    assert Fraction(*_ratio(token)) == expected
 
 
 def test_plain_integers_parse_as_ints():
+    # Only a token written with '/' or '.' gives a Fraction; "1e3" is 1000.
     tokens = ("+7", "-0", "00", "\u0663", "1e3", "3.0", "12/4")
-    assert [type(parse_rational(t)) for t in tokens] == [int] * 4 + [Fraction] * 3
+    inst = parse_instance(f"bqp01\n7 1\n0\n{' '.join(tokens)}\n0\n" + "0\n" * 7)
+    assert [type(v) for v in inst.c] == [int] * 5 + [Fraction] * 2
+    assert inst.c == (7, 0, 0, 3, 1000, 3, 3)
     inst = parse_instance(SAMPLE_TEXT.replace("0 2", "0 5/2"))
     assert all(type(v) is int for row in inst.q for v in row + inst.c)
     assert inst.d == (0, Fraction(5, 2)) and type(inst.d[1]) is Fraction
@@ -84,6 +93,18 @@ def test_round_trip_fractions_and_cut_form():
     parsed = parse_instance(text)
     assert isinstance(parsed, CutInstance)
     assert parsed == cut
+
+
+@pytest.mark.parametrize("header", ["bqp01", "bqp11"])
+def test_format_refuses_an_integer_instance(header):
+    # Written as bqp11 with its 0-1 coefficients, the scaled form of this
+    # 1 x 2 bqp01 file would re-read with optimum 3 instead of 2.
+    text = f"{header}\n1 2\n0\n1\n0 0\n1 -1\n"
+    with pytest.raises(TypeError, match="IntegerInstance"):
+        format_instance(parse_integer_instance(text))
+    with pytest.raises(TypeError, match="IntegerInstance"):
+        format_instance(parse_instance(text).integer)
+    assert format_instance(parse_instance(text)) == text
 
 
 def test_truncated_matrix_row_names_the_row():
@@ -164,21 +185,25 @@ NEAR_NUMBERS = st.from_regex(
 
 
 def _check_token(token):
-    """_ratio and parse_rational accept exactly what Fraction accepts, with
-    its value, and reject the rest with Fraction's message."""
+    """_ratio, and parse_instance on a file holding the token, accept exactly
+    what Fraction accepts, with its value, and reject the rest with
+    Fraction's message."""
     try:
         expected = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        message = str(ParseError(f"bad number {token!r} ({exc})", 7))
-        for parse in (_ratio, parse_rational):
-            with pytest.raises(ParseError) as info:
-                parse(token, 7)
-            assert str(info.value) == message and info.value.line == 7
+        with pytest.raises(ParseError) as info:
+            _ratio(token, 3)
+        assert str(info.value) == str(ParseError(f"bad number {token!r} ({exc})", 3))
+        assert info.value.line == 3
+        if token:
+            with pytest.raises(ParseError) as parsed:
+                parse_instance(_c0_file(token))
+            assert str(parsed.value) == str(info.value) and parsed.value.line == 3
         return
     num, den = _ratio(token)
     assert type(num) is int and type(den) is int and den > 0
     assert Fraction(num, den) == expected
-    assert parse_rational(token) == expected
+    assert parse_instance(_c0_file(token)).c0 == expected
 
 
 def test_tokenizer_on_every_short_token():
