@@ -1,15 +1,18 @@
 """Structure detection for cost matrices.
 
 Four detectors drive solver selection: the rank, by fraction-free
-Gauss-Jordan elimination (Bareiss), additive decomposability q_ij = a_i +
-b_j, entrywise nonnegativity, and the minimum set of rows/columns whose
+elimination (Bareiss), additive decomposability q_ij = a_i + b_j,
+entrywise nonnegativity, and the minimum set of rows/columns whose
 deletion removes all negative entries (a minimum vertex cover of the
 negativity graph, read off a minimum cut of its unit flow network on the
 shared Dinic core of ``mincut``).  Dispatch routes on
-``IntegerInstance.rank_at_most``, which stops at its limit's next pivot;
-``rank_factorize`` factors any matrix in full.  A matrix of rank at most
-one needs no elimination: ``bareiss`` recognises it in one pass that
-compares each row with a multiple of the first pivot's row.  The
+``IntegerInstance.rank_at_most``, which asks one fact at a time: a
+matrix of rank at most one needs no elimination, since :func:`_rank_one`
+recognises it in one pass that compares each row with a multiple of the
+first pivot's row; otherwise :func:`_row_basis` reduces the rows in order
+and stops at its limit's next independent row, and only the few basis
+rows it finds are eliminated to reduced row echelon form.
+``rank_factorize`` factors any matrix in full, by :func:`bareiss`.  The
 detectors take a matrix of exact rationals as it is; dispatch passes
 them ints.
 """
@@ -31,7 +34,10 @@ class RankFactorization(Record):
     ``left`` is m x p (the pivot columns of q, so it has full column rank)
     and ``right`` is p x n (denominator times the nonzero rows of the
     reduced row echelon form, so it has full row rank).  Rational factors
-    have denominator 1; ``IntegerInstance.rank_at_most`` returns all-int ones.
+    have denominator 1.  ``IntegerInstance.rank_at_most`` returns all-int
+    ones whose denominator is |det| of the pivot minor of the basis rows
+    it eliminated: the pivot row for rank one, the rows ``_row_basis``
+    kept otherwise.
     """
 
     p: int
@@ -62,9 +68,7 @@ class Eliminator(Record):
         return len(self.rows) + len(self.cols)
 
 
-def bareiss(
-    matrix: Sequence[Sequence[int]], max_pivots: int | None = None
-) -> tuple[list[list[int]], list[int], int]:
+def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
     Returns (rows, pivots, det) with rows = det * RREF(matrix) and det > 0
@@ -73,23 +77,13 @@ def bareiss(
     row by (pivot * row - factor * pivot row) / previous pivot; by
     Sylvester's identity the division is exact and every entry is a minor
     of the input (Bareiss, Math. Comp. 22, 1968), so no fractions arise.
-
-    With ``max_pivots`` (at least 1), elimination stops as soon as that
-    many pivots are found, before eliminating the last one: len(pivots) ==
-    max_pivots then only proves rank >= max_pivots, and rows and det are
-    partial.  Fewer pivots mean the elimination finished.
-
-    Unless ``max_pivots`` is 1, a matrix of rank at most one is answered
-    without elimination, by :func:`_rank_one`; the result is the same.
+    A matrix of rank at most one is answered without elimination, by
+    :func:`_rank_one`; the result is the same.
     """
-    if max_pivots != 1:
-        found = _rank_one(matrix)
-        if found is not None:
-            return found
-    return _eliminate(matrix, max_pivots)
+    return _rank_one(matrix) or _eliminate(matrix)
 
 
-def _eliminate(matrix: Sequence[Sequence[int]], max_pivots: int | None = None):
+def _eliminate(matrix: Sequence[Sequence[int]]):
     """:func:`bareiss` without the rank <= 1 pass, for a caller that knows
     the pass cannot save an elimination."""
     rows = [list(row) for row in matrix]
@@ -103,9 +97,6 @@ def _eliminate(matrix: Sequence[Sequence[int]], max_pivots: int | None = None):
         pivot_row = next((i for i in range(r, m) if rows[i][col]), None)
         if pivot_row is None:
             continue
-        if r + 1 == max_pivots:
-            pivots.append(col)
-            break
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         top = rows[r]
         pivot = top[col]
@@ -120,6 +111,41 @@ def _eliminate(matrix: Sequence[Sequence[int]], max_pivots: int | None = None):
     if prev < 0:
         return [[-v for v in row] for row in rows], pivots, -prev
     return rows, pivots, prev
+
+
+def _row_basis(matrix: Sequence[Sequence[int]], max_pivots: int):
+    """The rows of matrix, in order, that the rows before them do not
+    span, or None as soon as ``max_pivots`` of them are found.
+
+    A fraction-free forward elimination driven by rows: each row is
+    brought through the pivot steps recorded so far, (pivot * row -
+    factor * pivot row) / previous pivot, exact as in :func:`_eliminate`
+    because each step is a Bareiss step of the matrix with the pivot rows
+    first.  A nonzero remainder makes the row a basis row, its first
+    nonzero entry the next pivot.  So rank >= max_pivots is proved after
+    reading only the rows up to the max_pivots-th independent one, in
+    about max_pivots^2 n / 2 steps.  The basis spans the row space, so
+    its RREF is the matrix's.
+    """
+    basis: list[Sequence[int]] = []
+    steps: list[tuple[Sequence[int], int, int]] = []  # (pivot row, column, pivot)
+    for row in matrix:
+        v, prev = row, 1
+        for top, col, pivot in steps:
+            factor = v[col]
+            if factor:
+                v = [(pivot * a - factor * b) // prev for a, b in zip(v, top)]
+            elif pivot != prev:
+                v = [pivot * a // prev for a in v]
+            prev = pivot
+        if not any(v):
+            continue
+        if len(basis) + 1 == max_pivots:
+            return None
+        basis.append(row)
+        col = v.index(next(filter(None, v)))  # entries before it are zero
+        steps.append((v, col, v[col]))
+    return basis
 
 
 def _rank_one(matrix: Sequence[Sequence[int]]):

@@ -58,7 +58,8 @@ class AnalysisReport(Record):
         """(key, value) text pairs.
 
         The rank prints exactly up to ``DEFAULT_P_LIMIT`` (6) and as
-        ``>6`` above it, so no elimination runs past seven pivots.
+        ``>6`` above it, so no rank query reads past the seventh
+        independent row.
         """
         limit = DEFAULT_P_LIMIT
         fact = self.work.rank_at_most(limit)
@@ -153,7 +154,7 @@ def _auto_route(found: AnalysisReport, p_limit: int, enum_limit: int, eliminator
         return "mincut"
     if found.additive:
         return "additive"
-    # Only ranks up to max(p_limit, 1) route, so the elimination stops one pivot past that.
+    # Only ranks up to max(p_limit, 1) route, so the row pass stops one independent row past that.
     fact = found.work.rank_at_most(max(p_limit, 1))
     if fact is not None:
         return "rank1" if fact.p <= 1 else "rankp"

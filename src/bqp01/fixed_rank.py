@@ -292,13 +292,13 @@ def solve_fixed_rank(
     """Optimal solution via basis-structure candidate enumeration.
 
     Uses the left factor of the integer rank factorization of
-    ``rank_at_most(p_limit)``, refusing once p_limit + 1 pivots are found.
-    Collects the corner x-vectors of all dual feasible basis structures
-    as int masks; a repeat (the same arrangement cell reached from
-    another basis) is counted against the C(m,p) * 2^p bound but scored
-    once.  Each distinct corner is scored on q's packed column gains, and
-    only the best is completed with its closed-form y.  Ties prefer the
-    lexicographically smallest x, and so the smallest (x, y).
+    ``rank_at_most(p_limit)``, refusing once p_limit + 1 independent rows
+    are found.  Collects the corner x-vectors of all dual feasible basis
+    structures as int masks; a repeat (the same arrangement cell reached
+    from another basis) is counted against the C(m,p) * 2^p bound but
+    scored once.  Each distinct corner is scored on q's packed column
+    gains, and only the best is completed with its closed-form y.  Ties
+    prefer the lexicographically smallest x, and so the smallest (x, y).
     """
     work = inst.integer
     fact = work.rank_at_most(p_limit)

@@ -278,11 +278,12 @@ class IntegerInstance(_Shape):
     def rank_at_most(self, limit: int):
         """The integer rank factorization of q if rank(q) <= limit, else None.
 
-        The elimination stops once limit + 1 pivots prove the rank larger,
-        so ``rank_at_most(min(m, n)).p`` is the exact rank.  One record keeps
-        what the eliminations proved: the finished factorization, or the
+        A query reads only as far as its answer needs: the rows up to the
+        (limit + 1)-th independent one prove the rank larger, so
+        ``rank_at_most(min(m, n)).p`` is the exact rank.  One record keeps
+        what the queries proved: the finished factorization, or the
         largest limit shown to be exceeded.  A limit that record answers
-        runs no new elimination.
+        reads no row.
         """
         record = self.__dict__.get("_rank", -1)  # an int k: rank(q) > k is proved
         if isinstance(record, int) and limit > record:
@@ -299,12 +300,23 @@ class IntegerInstance(_Shape):
         return detect_nonnegative(self.q)
 
     def _factorize(self, max_pivots: int):
-        """The factorization, or None if ``max_pivots`` pivots stopped it."""
-        from .analysis import RankFactorization, bareiss  # analysis imports model
+        """The factorization, or None once ``max_pivots`` independent rows are found.
 
-        rows, pivots, det = bareiss(self.q, max_pivots)
-        if len(pivots) == max_pivots:
-            return None
+        The rank <= 1 pass answers first, finished whatever the limit.
+        Otherwise the row pass collects the independent rows in order, and
+        only those few are eliminated: they span q's row space, so the
+        pivot columns, p and the RREF are q's own.
+        """
+        # analysis imports model
+        from .analysis import RankFactorization, _eliminate, _rank_one, _row_basis
+
+        found = _rank_one(self.q)
+        if found is None:
+            basis = _row_basis(self.q, max_pivots)
+            if basis is None:
+                return None
+            found = _eliminate(basis)
+        rows, pivots, det = found
         left = tuple(tuple(row[col] for col in pivots) for row in self.q)
         return RankFactorization(len(pivots), left, tuple(map(tuple, rows[: len(pivots)])), det)
 

@@ -14,7 +14,14 @@ from bqp01 import (
     min_negative_eliminator,
     rank_factorize,
 )
-from bqp01.analysis import _rank_one, additive_mismatch, bareiss
+from bqp01.analysis import (
+    RankFactorization,
+    _eliminate,
+    _rank_one,
+    _row_basis,
+    additive_mismatch,
+    bareiss,
+)
 from bqp01.fixed_rank import integer_inverse
 from bqp01.fixtures import sample_additive, sample_nonnegative, sample_rank_one
 
@@ -126,15 +133,26 @@ def product_of_rank(rng, m, n, r):
     return [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
 
 
+def kept_rows(q):
+    """Indices of the rows the rows before them do not span: the pivot
+    columns of q's transpose (sympy)."""
+    return list(sympy.Matrix(q).T.rref()[1])
+
+
 def test_bounded_rank_matches_sympy(monkeypatch):
     calls = []
-    original = bqp01.analysis.bareiss
+    original_pass, original_rows = bqp01.analysis._rank_one, bqp01.analysis._row_basis
 
-    def recording(matrix, max_pivots=None):
+    def rank_one(matrix):
+        calls.append("rank one")
+        return original_pass(matrix)
+
+    def row_basis(matrix, max_pivots):
         calls.append(max_pivots)
-        return original(matrix, max_pivots)
+        return original_rows(matrix, max_pivots)
 
-    monkeypatch.setattr(bqp01.analysis, "bareiss", recording)
+    monkeypatch.setattr(bqp01.analysis, "_rank_one", rank_one)
+    monkeypatch.setattr(bqp01.analysis, "_row_basis", row_basis)
     rng = random.Random(33)
     cases = [[[0] * 4] * 3, [[0] * 5], [[3, 0, -1, 2]], [[0], [2], [0]]]
     cases += [random_matrix(rng, 1, rng.randint(1, 6), -3, 3) for _ in range(10)]
@@ -147,15 +165,19 @@ def test_bounded_rank_matches_sympy(monkeypatch):
         rank = sympy.Matrix(q).rank()
         full = bareiss(q)
         assert len(full[1]) == rank
+        kept = kept_rows(q)
         for limit in range(0, 5):
-            rows, pivots, det = bareiss(q, limit + 1)
-            assert len(pivots) == min(rank, limit + 1)
-            if rank <= limit:  # finished: the whole elimination
-                assert (rows, pivots, det) == full
+            basis = original_rows(q, limit + 1)
+            if rank > limit:
+                assert basis is None
+            else:  # finished: the rows that raise the rank, and q's pivots
+                assert basis == [q[i] for i in kept] and len(basis) == rank
+                assert _eliminate(basis)[1] == full[1]
             at_limit += rank == limit
             over_limit += rank == limit + 1
-        # Any order of limits gives sympy's answer, and a limit already
-        # answered by what the earlier calls proved runs no elimination.
+        # Any order of limits gives sympy's answer.  A limit that the
+        # earlier calls answered runs no pass; any other runs the rank <= 1
+        # pass, and the row pass too unless that pass finished.
         limits = list(range(6))
         rng.shuffle(limits)
         work = Instance(q).integer
@@ -166,15 +188,19 @@ def test_bounded_rank_matches_sympy(monkeypatch):
             assert (None if fact is None else fact.p) == (rank if rank <= limit else None)
             if exact is not None or limit <= above:
                 assert calls == []
+            elif rank <= 1:
+                assert calls == ["rank one"]
+                exact = rank
             else:
-                assert calls == [limit + 1]
+                assert calls == ["rank one", limit + 1]
                 exact, above = (rank, above) if rank <= limit else (None, limit)
     assert at_limit > 50 and over_limit > 50
 
 
 def eliminate(matrix, max_pivots=None):
     """Bareiss elimination exactly as ``bareiss`` ran before it recognised
-    rank <= 1 in one pass: the reference that pass must reproduce."""
+    rank <= 1 in one pass, with the pivot bound that rank queries passed
+    before the row pass: the reference both passes must reproduce."""
     rows = [list(row) for row in matrix]
     m = len(rows)
     pivots = []
@@ -245,12 +271,121 @@ def test_rank_one_pass_returns_what_elimination_returns(q):
     copy = [list(row) for row in q]
     # The pass answers every matrix of rank <= 1, and no other.
     assert (_rank_one(q) is None) == (len(eliminate(q)[1]) > 1)
-    for max_pivots in (None, 1, 2, 3, 7):
-        got = bareiss(q, max_pivots)
-        want = eliminate(q, max_pivots)
-        assert got == want and repr(got) == repr(want)
-        assert len({id(row) for row in got[0]}) == len(got[0])  # no row shared
+    got, want = bareiss(q), eliminate(q)
+    assert got == want and repr(got) == repr(want)
+    assert len({id(row) for row in got[0]}) == len(got[0])  # no row shared
+    # The row pass stops at its bound, and otherwise keeps rows of q whose
+    # elimination has q's pivots.
+    for max_pivots in (1, 2, 3, 7):
+        basis = _row_basis(q, max_pivots)
+        assert (basis is None) == (len(want[1]) >= max_pivots)
+        if basis is not None:
+            at = [next(i for i, row in enumerate(q) if row is kept) for kept in basis]
+            assert at == sorted(set(at))  # rows of q itself, in order
+            assert len(basis) == len(want[1]) and _eliminate(basis)[1] == want[1]
     assert [list(row) for row in q] == copy
+
+
+def parent_factorize(q, max_pivots):
+    """``IntegerInstance._factorize`` as it was when it eliminated all of q,
+    stopping at ``max_pivots`` pivots."""
+    rows, pivots, det = eliminate(q, max_pivots)
+    if len(pivots) == max_pivots:
+        return None
+    left = tuple(tuple(row[col] for col in pivots) for row in q)
+    return RankFactorization(len(pivots), left, tuple(map(tuple, rows[: len(pivots)])), det)
+
+
+NEAR_2_62 = st.sampled_from([2**62 - 1, -(2**62) + 3, 2**62 + 7, 3 * 2**60, -(2**61) - 1])
+
+
+@st.composite
+def leading_dependent_rows(draw):
+    """An m x r times r x n integer product (rank r <= 7, usually exactly r)
+    with entries near 2^62, after up to three leading rows that add no
+    rank: zero rows, a repeat of a later row, or a multiple of one."""
+    r = draw(st.integers(0, 7))
+    m, n = draw(st.integers(max(r, 1), 9)), draw(st.integers(max(r, 1), 9))
+    left = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(st.one_of(st.integers(-4, 4), NEAR_2_62), min_size=n, max_size=n),
+                          min_size=r, max_size=r))
+    q = [[sum(row[k] * right[k][j] for k in range(r)) for j in range(n)] for row in left]
+    lead = draw(st.sampled_from(["none", "zero", "repeat", "multiple"]))
+    for _ in range(draw(st.integers(1, 3))):
+        later = q[draw(st.integers(0, len(q) - 1))]
+        if lead == "zero":
+            q.insert(0, [0] * n)
+        elif lead == "repeat":
+            q.insert(0, list(later))
+        elif lead == "multiple":
+            f = draw(st.sampled_from([2, -3, 2**62 - 1]))
+            q.insert(0, [f * v for v in later])
+    return q
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(leading_dependent_rows())
+@example([[0, 0, 0, 0, 0, 0, 0]])  # 1 x n
+@example([[3, -1, 2, 0, 5, 7, 1]])
+@example([[0], [2**62 - 1], [0], [-5]])  # m x 1
+@example([[0], [0]])
+@example([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 0], [1, 2, 3]])
+@example([[2, 0, 4], [0, 0, 0], [1, 0, 2], [0, 3, 1], [0, 6, 2]])
+@example([[1 if i == j else 0 for j in range(8)] for i in range(8)])  # rank 8 > every limit
+def test_row_pass_keeps_the_parents_factorization(q):
+    rref, _ = sympy.Matrix(q).rref()
+    kept = kept_rows(q)
+    rank = len(kept)
+    found = []
+    for limit in range(8):
+        basis = _row_basis(q, limit + 1)
+        fact = Instance(q).integer.rank_at_most(limit)
+        parent = parent_factorize(q, limit + 1)
+        assert (basis is None) == (fact is None) == (parent is None) == (rank > limit)
+        if fact is not None:
+            assert basis == [q[i] for i in kept]
+            assert (fact.p, fact.left) == (parent.p, parent.left) and fact.p == rank
+            found.append(fact)
+    if not found:
+        return
+    assert found.count(found[0]) == len(found)  # every finished limit, one factorization
+    fact, k = found[0], found[0].denominator
+    if rank == 0:
+        assert (fact.right, k) == ((), 1)
+        return
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*fact.right)] for row in fact.left]
+    assert product == [[k * v for v in row] for row in q]
+    assert [[Fraction(v, k) for v in row] for row in fact.right] == [
+        [Fraction(int(v.p), int(v.q)) for v in rref.row(t)] for t in range(rank)
+    ]
+    # The denominator is |det| of the basis rows' pivot minor.
+    cols = [next(j for j, v in enumerate(row) if v) for row in fact.right]
+    assert k == abs(sympy.Matrix([[q[i][j] for j in cols] for i in kept]).det())
+
+
+def test_row_pass_reads_rows_up_to_its_bound_only():
+    """Rank > limit is proved at the (limit + 1)-th independent row: when
+    the first limit + 1 rows are independent, after reading exactly those."""
+    rng = random.Random(41)
+    independent_first = 0
+    for limit in range(8):
+        for zeros in range(3):
+            q = [[0] * 9] * zeros + product_of_rank(rng, limit + 1 + rng.randint(0, 4), 9, 9)
+            kept = kept_rows(q)
+            read = []
+
+            def rows():
+                for row in q:
+                    read.append(row)
+                    yield row
+
+            basis = _row_basis(rows(), limit + 1)
+            if len(kept) > limit:
+                assert basis is None and len(read) == kept[limit] + 1
+                independent_first += kept[limit] == zeros + limit
+            else:
+                assert basis == [q[i] for i in kept] and len(read) == len(q)
+    assert independent_first > 20
 
 
 def test_integer_inverse_runs_no_rank_one_pass(monkeypatch):

@@ -291,9 +291,7 @@ def test_cli_dump_breakpoints_of_a_rational_cut_file(tmp_path, capsys):
     assert out[out.index("# concave-x") :] == expected
 
 
-def test_cli_dump_converts_and_eliminates_a_cut_file_once(
-    tmp_path, capsys, monkeypatch, full_eliminations
-):
+def test_cli_dump_converts_and_eliminates_a_cut_file_once(tmp_path, capsys, monkeypatch, rank_work):
     plain, cut = tmp_path / "r1.bqp", tmp_path / "r1c.bqp"
     assert main(["gen", "--kind", "rank1", "-m", "30", "-n", "40", "--seed", "3",
                  "-o", str(plain)]) == 0
@@ -309,7 +307,8 @@ def test_cli_dump_converts_and_eliminates_a_cut_file_once(
     monkeypatch.setattr(bqp01.model, "substitute", counted)
     assert main(["solve", str(cut), "--dump-breakpoints"]) == 0
     assert "# convex-y track" in capsys.readouterr().out
-    assert conversions == [30] and len(full_eliminations) == 1
+    # One rank query, which the rank <= 1 pass finishes: nothing is eliminated.
+    assert conversions == [30] and rank_work == [("rank one", 30, True)]
 
 
 def test_cli_dump_breakpoints_refuses_rank_two_before_output(tmp_path, capsys):
@@ -500,76 +499,92 @@ def test_refusal_names_the_shorter_side_for_enum():
         assert dict(err.value.report.lines())["rank"] == ">6"
 
 
-def test_routes_eliminate_the_full_matrix_at_most_once(monkeypatch):
-    calls = []
-    original = bqp01.analysis.bareiss
-
-    def recording(matrix, max_pivots=None):
-        rows, pivots, det = original(matrix, max_pivots)
-        calls.append((len(matrix), len(matrix[0]), len(pivots) != max_pivots))
-        return rows, pivots, det
-
-    monkeypatch.setattr(bqp01.analysis, "bareiss", recording)
+def test_routes_eliminate_the_full_matrix_at_most_once(rank_work):
     cases = [
-        (generate_instance("rank1", 7, 9, 1), {}, "rank1", 1),
-        (generate_instance("rank1", 9, 7, 2), {}, "rank1", 1),
-        (generate_instance("rank2", 8, 11, 3), {}, "rankp", 1),
-        (generate_instance("rank3", 11, 8, 4), {}, "rankp", 1),
-        (generate_instance("general", 6, 9, 5), dict(p_limit=2), "enum", 0),
+        (generate_instance("rank1", 7, 9, 1), {}, "rank1"),
+        (generate_instance("rank1", 9, 7, 2), {}, "rank1"),
+        (generate_instance("rank2", 8, 11, 3), {}, "rankp"),
+        (generate_instance("rank3", 11, 8, 4), {}, "rankp"),
+        (generate_instance("general", 6, 9, 5), dict(p_limit=2), "enum"),
         (generate_instance("sparse-negative5", 30, 30, 6), dict(p_limit=2, enum_limit=3),
-         "eliminator", 0),
+         "eliminator"),
     ]
-    for inst, limits, route, full_runs in cases:
-        calls.clear()
+    for inst, limits, route in cases:
+        rank, limit = rank_factorize(inst.q).p, limits.get("p_limit", 6)
+        m, n = sorted((inst.m, inst.n))  # the shorter side is enumerated
+        rank_work.clear()
         assert dispatch_solve(inst, **limits).algorithm == route
-        on_matrix = [done for m, n, done in calls if {m, n} == {inst.m, inst.n}]
-        # One elimination of the matrix, which finishes only when the rank
-        # is within p_limit; rankp's small basis inverses skip bareiss.
-        assert len(on_matrix) == 1 and on_matrix.count(True) == full_runs
+        # One query: the rank <= 1 pass finishes rank one.  Otherwise the row
+        # pass reads every row and only its basis is eliminated when the rank
+        # is within p_limit, and reads limit + 1 rows when it is not.
+        if rank <= 1:
+            assert rank_work == [("rank one", m, True)]
+        elif rank <= limit:
+            assert rank_work == [("rank one", m, False), ("rows", m, m, rank), ("eliminate", rank, n)]
+        else:
+            assert rank_work == [("rank one", m, False), ("rows", limit + 1, m, None)]
 
 
-def test_cli_refusal_prints_rank_bound_without_full_elimination(tmp_path, monkeypatch, capsys):
-    full = []
-    original = bqp01.analysis.bareiss
-
-    def recording(matrix, max_pivots=None):
-        full.append(max_pivots is None)
-        return original(matrix, max_pivots)
-
-    monkeypatch.setattr(bqp01.analysis, "bareiss", recording)
+def test_cli_refusal_prints_rank_bound_without_full_elimination(tmp_path, capsys, rank_work):
     path = tmp_path / "general.bqp"
     path.write_text(format_instance(generate_instance("general", 40, 40, 1)), encoding="utf-8")
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert "  rank=>6\n" in err
-    assert full == [False]
+    # auto's query and the report's share one row pass over 7 of 40 rows.
+    assert rank_work == [("rank one", 40, False), ("rows", 7, 40, None)]
 
 
 @pytest.fixture
-def full_eliminations(monkeypatch):
-    """True for each analysis.bareiss call that runs without a pivot bound."""
-    full = []
-    original = bqp01.analysis.bareiss
+def rank_work(monkeypatch):
+    """What the rank queries did, in order: ("rank one", rows, answered) for
+    each rank <= 1 pass, ("rows", rows read, rows given, basis size or None)
+    for each row pass, and ("eliminate", rows, columns) for each elimination
+    of ``analysis`` (``bareiss`` runs one too; rankp's basis inverses, bound
+    at import, are not counted)."""
+    work = []
+    rank_one, row_basis, eliminate = (
+        bqp01.analysis._rank_one, bqp01.analysis._row_basis, bqp01.analysis._eliminate
+    )
 
-    def recording(matrix, max_pivots=None):
-        full.append(max_pivots is None)
-        return original(matrix, max_pivots)
+    def one_pass(matrix):
+        found = rank_one(matrix)
+        work.append(("rank one", len(matrix), found is not None))
+        return found
 
-    monkeypatch.setattr(bqp01.analysis, "bareiss", recording)
-    return full
+    def row_pass(matrix, max_pivots):
+        read = []
+
+        def rows():
+            for row in matrix:
+                read.append(row)
+                yield row
+
+        basis = row_basis(rows(), max_pivots)
+        work.append(("rows", len(read), len(matrix), None if basis is None else len(basis)))
+        return basis
+
+    def eliminating(matrix):
+        work.append(("eliminate", len(matrix), len(matrix[0]) if matrix else 0))
+        return eliminate(matrix)
+
+    monkeypatch.setattr(bqp01.analysis, "_rank_one", one_pass)
+    monkeypatch.setattr(bqp01.analysis, "_row_basis", row_pass)
+    monkeypatch.setattr(bqp01.analysis, "_eliminate", eliminating)
+    return work
 
 
 @pytest.mark.parametrize(
-    "args, code",
+    "args, code, limit",
     [
-        (["analyze", "--format", "kv"], 0),
-        (["solve", "--algorithm", "rankp"], 2),
-        (["solve", "--algorithm", "rank1"], 1),
-        (["solve", "--dump-breakpoints"], 1),
+        (["analyze", "--format", "kv"], 0, 6),
+        (["solve", "--algorithm", "rankp"], 2, 6),
+        (["solve", "--algorithm", "rank1"], 1, 1),
+        (["solve", "--dump-breakpoints"], 1, 1),
     ],
     ids=["analyze", "rankp", "rank1", "dump-breakpoints"],
 )
-def test_cli_rank_queries_stop_the_elimination(args, code, tmp_path, capsys, full_eliminations):
+def test_cli_rank_queries_stop_the_elimination(args, code, limit, tmp_path, capsys, rank_work):
     path = tmp_path / "general.bqp"
     path.write_text(format_instance(generate_instance("general", 40, 40, 1)), encoding="utf-8")
     assert main([args[0], str(path), *args[1:]]) == code
@@ -578,15 +593,17 @@ def test_cli_rank_queries_stop_the_elimination(args, code, tmp_path, capsys, ful
         assert "rank=>6\n" in out
     elif code == 1:
         assert out == ""
-    assert full_eliminations and not any(full_eliminations)
+    # One query: its row pass reads limit + 1 of the 40 rows, and nothing
+    # is eliminated.
+    assert rank_work == [("rank one", 40, False), ("rows", limit + 1, 40, None)]
 
 
-def test_forced_rankp_refusal_measures_the_rank_bound(full_eliminations):
+def test_forced_rankp_refusal_measures_the_rank_bound(rank_work):
     with pytest.raises(SolverRefusal) as err:
         dispatch_solve(generate_instance("general", 40, 40, 1), "rankp")
     assert (err.value.limit, err.value.measured) == (6, 7)
     assert "matrix rank > p_limit 6" in str(err.value)
-    assert full_eliminations == [False]
+    assert rank_work == [("rank one", 40, False), ("rows", 7, 40, None)]
 
 
 # The README's solver table, in auto's order: the first rule that holds
