@@ -56,6 +56,14 @@ def _column_gains(work: IntegerInstance, x: Sequence[int]) -> tuple[list[int], i
     return gains, base
 
 
+def pack_fields(values: Sequence[int], size: int, offset: int) -> int:
+    """sum_j (values[j] + offset) 2^(8 size j), each 0 <= values[j] + offset
+    < 2^(8 size): the raised values as fields of ``size`` bytes, joined."""
+    return int.from_bytes(
+        b"".join([(v + offset).to_bytes(size, "little") for v in values]), "little"
+    )
+
+
 def pack_column_gains(work: IntegerInstance) -> tuple[list[int], int, int, int, int, int]:
     """The packing of the n column gains d_j + sum_i q_ij x_i into one int.
 
@@ -71,16 +79,11 @@ def pack_column_gains(work: IntegerInstance) -> tuple[list[int], int, int, int, 
     bias = 1 << shift
     size = (shift + work.n.bit_length() + 9) // 8
     unit = int.from_bytes((b"\1" + bytes(size - 1)) * work.n, "little")
-
-    def pack(values, offset):
-        return int.from_bytes(
-            b"".join([(v + offset).to_bytes(size, "little") for v in values]), "little"
-        )
-
     # rows[i] is sum_j q_ij 2^(jW): packed with each entry raised by the
     # bound to make it nonnegative, then lowered as one int.
-    rows = [pack(row, bound) - bound * unit for row in q]
-    return rows, pack(d, bias), bias * unit, shift, bias - 1, (1 << 8 * size) - 1
+    lowered = bound * unit
+    rows = [pack_fields(row, size, bound) - lowered for row in q]
+    return rows, pack_fields(d, size, bias), bias * unit, shift, bias - 1, (1 << 8 * size) - 1
 
 
 def solve_enumeration(

@@ -18,10 +18,16 @@ it never divides.  At a basis B the signed cofactors gamma of a (p+1)-th
 row give det [V_B; V_j] = gamma.V_j, which is 0 at basic j, and
 gamma_p = det(L_B).  Scaled to gamma_p = -|det(L_B)|, gamma is therefore
 (pi, -|det|) with pi the basis's dual price vector c_B^T adj(L_B^T), and
-the det-scaled reduced cost pi.L_j - |det| c_j of every j is one dot
-product of length p + 1.  The interior nodes are at most the sum over
-k < p of C(m, k) row subsets; a basis costs (p + 1) p multiplies and m
-dot products.
+the det-scaled reduced cost pi.L_j - |det| c_j of every j is gamma.V_j
+up to sign.  The p + 1 columns of V's cofactor rows are packed once per
+call, each into one int of byte-aligned fields wide enough for the
+a-priori bound (p + 1) (ceil(sqrt p) max|V|)^p max|V| on |gamma.V_j|
+(Lamport's packing, as in `enumeration`), so all m reduced costs of a
+basis are the fields of one sum of p + 1 big-int products, and the top
+bytes of that sum, and of it minus one per field, are the masks of the
+costs >= 0 and > 0.  The interior nodes are at most the sum over k < p
+of C(m, k) row subsets; a basis costs (p + 1) p multiplies for its
+cofactors, p + 1 packed multiply-adds and two byte reads.
 
 Each candidate is the sign vector of a cell of the arrangement of the m
 hyperplanes c_i + L_i.u = 0 in R^p, the cells that Allemand, Fukuda,
@@ -41,14 +47,14 @@ scored under the original objective.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import combinations, compress, product
-from math import comb
+from itertools import combinations, product
+from math import comb, isqrt
 from operator import itemgetter, mul, neg
 
 from .analysis import _eliminate
-from .enumeration import best_y_for_x, pack_column_gains
+from .enumeration import best_y_for_x, pack_column_gains, pack_fields
 from .errors import DEFAULT_P_LIMIT, SolverRefusal
 from .model import (
     IntegerInstance,
@@ -146,6 +152,84 @@ def _laplace_terms(p: int) -> list[list[tuple]]:
     return levels
 
 
+# A field's top byte read as one character, "1" when its top bit is set.
+# With m = 0 the read is empty, and `or b"0"` makes it the empty mask.
+_TOP_BIT = b"0" * 128 + b"1" * 128
+
+
+def _dual_feasible_bases(
+    left: Sequence[Sequence[int]], c: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(basis, upper mask) of every dual feasible basis structure, over ints.
+
+    Bases come in `combinations` order from a depth-first walk that keeps
+    the minors of the chosen rows of V = [left | c].  Bit j of the mask is
+    set when nonbasic j is at its upper bound; the rest of the nonbasic
+    variables are at their lower bounds.  The p + 1 cofactor columns of V
+    are packed once, each as one int of byte-aligned W-bit fields, so at a
+    basis with cofactors gamma, P = bias + sum_k gamma_k col_k holds
+    gamma.V_j + 2^(W-1) in field j, and the top bits of P and of P - ones
+    are the masks of gamma.V_j >= 0 and > 0.  Raises ValueError if no
+    p-subset is nonsingular.
+    """
+    m = len(c)
+    p = len(left[0]) if left and left[0] else 0
+    rows = [(*row, ci) for row, ci in zip(left, c)]
+    signed = [row + tuple(map(neg, row)) for row in rows]
+    # The p-row minors leave out column p, p - 1, ..., 0 in turn, so the
+    # cofactors gamma of a further row are the minors times the signs of
+    # column k, (-1)^k V_j,p-k.  Each minor is at most (sqrt(p) max|V|)^p
+    # by Hadamard's inequality, so with two spare bits every field of P and
+    # of P - ones stays in [1, 2^W): none borrows from or carries into its
+    # neighbour.  Columns are packed raised by max|V|, then lowered.
+    largest = max([abs(v) for row in rows for v in row], default=0)
+    bound = (p + 1) * ((isqrt(p - 1) + 1 if p else 0) * largest) ** p * largest
+    size = (bound.bit_length() + 9) // 8
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * m, "little")
+    lowered = largest * ones
+    columns = [
+        pack_fields([(-1) ** k * row[p - k] for row in rows], size, largest) - lowered
+        for k in range(p + 1)
+    ]
+    bias, length, full = ones << 8 * size - 1, m * size, (1 << m) - 1
+    levels = _laplace_terms(p)
+    found = False
+    # Depth-first, children pushed in reverse: bases pop in combinations order.
+    stack = [((), 0, (1,))]
+    while stack:
+        basis, chosen, minors = stack.pop()
+        k = len(basis)
+        if k < p:
+            terms = levels[k]
+            for r in reversed(range(basis[-1] + 1 if basis else 0, m - p + k + 1)):
+                row = signed[r]
+                extended = [sum(map(mul, cols(row), sub(minors))) for cols, sub in terms]
+                stack.append(((*basis, r), chosen | 1 << r, extended))
+            continue
+        # minors[0] = gamma_p = det(L_B), and gamma.V_j is -sign(det) times
+        # the reduced cost of j times |det|, which is 0 at basic j.
+        det = minors[0]
+        if not det:
+            continue
+        packed = sum(map(mul, minors, columns), bias)
+        ge = int(packed.to_bytes(length, "big")[::size].translate(_TOP_BIT) or b"0", 2)
+        gt = int((packed - ones).to_bytes(length, "big")[::size].translate(_TOP_BIT) or b"0", 2)
+        upper = gt if det > 0 else full ^ ge
+        ties = (ge ^ gt) & ~chosen
+        if ties:
+            # A nonbasic zero: the tie rule needs the basis inverse.
+            inverse = integer_inverse([[left[i][col] for i in basis] for col in range(p)])
+            while ties:
+                bit = ties & -ties
+                ties ^= bit
+                if reduced_cost_sign(left, c, basis, *inverse, bit.bit_length() - 1) < 0:
+                    upper |= bit
+        found = True
+        yield basis, upper
+    if not found:
+        raise ValueError("factor does not have full column rank")
+
+
 def enumerate_dual_feasible_bases(
     left: Sequence[Sequence], c: Sequence
 ) -> list[BasisStructure]:
@@ -155,14 +239,12 @@ def enumerate_dual_feasible_bases(
     matrix.  Each nonsingular p-subset of variables yields exactly one
     structure: nonbasic variables go to the lower set on positive reduced
     cost and to the upper set on negative (signs are never zero under the
-    symbolic perturbation).  Bases come in `combinations` order from a
-    depth-first walk that keeps the minors of the chosen rows of
-    V = [left | c]; a basis's cofactors gamma give every det-scaled
-    reduced cost as one dot product gamma.V_j, and only a zero one at a
-    nonbasic j goes to :func:`reduced_cost_sign` for the perturbation's
-    tie rule.  At most C(m, p) structures are returned.
-    Scaling ``left`` and ``c`` to integers keeps every sign.  Raises
-    ValueError if no p-subset is nonsingular (column rank below p).
+    symbolic perturbation).  The structures are those of the basis walk
+    that :func:`solve_fixed_rank` runs, in `combinations` order; only a
+    zero reduced cost at a nonbasic j goes to :func:`reduced_cost_sign`
+    for the perturbation's tie rule.  At most C(m, p) structures are
+    returned.  Scaling ``left`` and ``c`` to integers keeps every sign.
+    Raises ValueError if no p-subset is nonsingular (column rank below p).
     """
     left, flags = _freeze_rows(left)
     left = _scale_pairs(list(map(_pair, left, flags)))[0]
@@ -170,50 +252,11 @@ def enumerate_dual_feasible_bases(
     m = len(c)
     if len(left) != m:
         raise ValueError("factor row count must match objective length")
-    p = len(left[0]) if left and left[0] else 0
-    rows = [(*row, ci) for row, ci in zip(left, c)]
-    signed = [row + tuple(map(neg, row)) for row in rows]
-    # The p-row minors leave out column p, p - 1, ..., 0 in turn, so the
-    # cofactors gamma of a further row are the minors times these signs.
-    cofactor_rows = [tuple(v * (-1) ** k for k, v in enumerate(reversed(row))) for row in rows]
-    levels = _laplace_terms(p)
-    variables = range(m)
     structures = []
-    # Depth-first, children pushed in reverse: bases pop in combinations order.
-    stack = [((), (1,))]
-    while stack:
-        basis, minors = stack.pop()
-        k = len(basis)
-        if k < p:
-            terms = levels[k]
-            for r in reversed(range(basis[-1] + 1 if basis else 0, m - p + k + 1)):
-                row = signed[r]
-                extended = [sum(map(mul, cols(row), sub(minors))) for cols, sub in terms]
-                stack.append(((*basis, r), extended))
-            continue
-        # minors[0] = gamma_p = det(L_B), and gamma.V_j is -sign(det) times
-        # the reduced cost of j times |det|, which is 0 at basic j.
-        det = minors[0]
-        if not det:
-            continue
-        costs = [sum(map(mul, minors, row)) for row in cofactor_rows]
-        # Lists first: a tuple built from an iterator comes from the size-10
-        # free list but goes back to the one of its size, so over many
-        # solves those free lists fill up.
-        lower = [*compress(variables, map((0).__gt__ if det > 0 else (0).__lt__, costs))]
-        upper = [*compress(variables, map((0).__lt__ if det > 0 else (0).__gt__, costs))]
-        if len(lower) + len(upper) < m - p:
-            # A nonbasic zero: the tie rule needs the basis inverse.
-            inverse = integer_inverse([[left[i][col] for i in basis] for col in range(p)])
-            for j in variables:
-                if not costs[j] and j not in basis:
-                    sign = reduced_cost_sign(left, c, basis, *inverse, j)
-                    (lower if sign > 0 else upper).append(j)
-            lower.sort()
-            upper.sort()
-        structures.append(BasisStructure(basis, tuple(lower), tuple(upper)))
-    if not structures:
-        raise ValueError("factor does not have full column rank")
+    for basis, upper in _dual_feasible_bases(left, c):
+        lower = [j for j in range(m) if not upper >> j & 1 and j not in basis]
+        uppers = [j for j in range(m) if upper >> j & 1]
+        structures.append(BasisStructure(basis, tuple(lower), tuple(uppers)))
     return structures
 
 
@@ -311,13 +354,12 @@ def solve_fixed_rank(
     bound = comb(work.m, fact.p) * (2 ** fact.p)
     count = 0
     corners = set()
-    for structure in enumerate_dual_feasible_bases(fact.left, work.c):
-        upper = sum(1 << j for j in structure.upper)
-        subsets = [0]
-        for i in structure.basis:
-            subsets += [s | 1 << i for s in subsets]
-        corners.update([upper | s for s in subsets])
-        count += len(subsets)
+    for basis, upper in _dual_feasible_bases(fact.left, work.c):
+        corners_of_basis = [upper]
+        for i in basis:
+            corners_of_basis += [s | 1 << i for s in corners_of_basis]
+        corners.update(corners_of_basis)
+        count += len(corners_of_basis)
     if count > bound:
         raise AssertionError(f"candidate count {count} exceeds C(m,p)*2^p = {bound}")
     best = _best_corner(work, corners)

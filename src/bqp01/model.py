@@ -287,7 +287,7 @@ class IntegerInstance(_Shape):
         """
         record = self.__dict__.get("_rank", -1)  # an int k: rank(q) > k is proved
         if isinstance(record, int) and limit > record:
-            record = self.__dict__["_rank"] = self._factorize(limit + 1) or limit
+            record = self.__dict__["_rank"] = self._factorize(limit + 1, record < 1) or limit
         if isinstance(record, int) or record.p > limit:
             return None
         return record
@@ -299,18 +299,19 @@ class IntegerInstance(_Shape):
 
         return detect_nonnegative(self.q)
 
-    def _factorize(self, max_pivots: int):
+    def _factorize(self, max_pivots: int, rank_one: bool):
         """The factorization, or None once ``max_pivots`` independent rows are found.
 
-        The rank <= 1 pass answers first, finished whatever the limit.
-        Otherwise the row pass collects the independent rows in order, and
-        only those few are eliminated: they span q's row space, so the
-        pivot columns, p and the RREF are q's own.
+        If ``rank_one`` (no earlier query proved rank > 1), the rank <= 1
+        pass answers first, finished whatever the limit.  Otherwise the
+        row pass collects the independent rows in order, and only those few
+        are eliminated: they span q's row space, so the pivot columns, p
+        and the RREF are q's own.
         """
         # analysis imports model
         from .analysis import RankFactorization, _eliminate, _rank_one, _row_basis
 
-        found = _rank_one(self.q)
+        found = _rank_one(self.q) if rank_one else None
         if found is None:
             basis = _row_basis(self.q, max_pivots)
             if basis is None:

@@ -177,7 +177,8 @@ def test_bounded_rank_matches_sympy(monkeypatch):
             over_limit += rank == limit + 1
         # Any order of limits gives sympy's answer.  A limit that the
         # earlier calls answered runs no pass; any other runs the rank <= 1
-        # pass, and the row pass too unless that pass finished.
+        # pass unless an earlier call proved rank > 1, and the row pass too
+        # unless that pass finished.
         limits = list(range(6))
         rng.shuffle(limits)
         work = Instance(q).integer
@@ -192,9 +193,14 @@ def test_bounded_rank_matches_sympy(monkeypatch):
                 assert calls == ["rank one"]
                 exact = rank
             else:
-                assert calls == ["rank one", limit + 1]
+                assert calls == ["rank one"] * (above < 1) + [limit + 1]
                 exact, above = (rank, above) if rank <= limit else (None, limit)
     assert at_limit > 50 and over_limit > 50
+    # Rank 3 queried at 1, then at 6: the second query skips the pass.
+    work = Instance(product_of_rank(rng, 8, 7, 3)).integer
+    calls.clear()
+    assert work.rank_at_most(1) is None and work.rank_at_most(6).p == 3
+    assert calls == ["rank one", 2, 7]
 
 
 def eliminate(matrix, max_pivots=None):

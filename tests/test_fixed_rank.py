@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -330,13 +331,19 @@ def test_each_distinct_candidate_is_scored_once(monkeypatch):
     assert repeats > 0
 
 
-def per_basis_structures(left, c, ties):
+def per_basis_structures(left, c, ties, wide):
     """The structures from one integer_inverse per basis, with the reduced
-    costs of its price vector: the reference for the prefix-minor walk.
-    Appends each nonbasic zero reduced cost to ``ties``."""
+    costs of its price vector: the reference for the packed basis walk.
+    Appends each nonbasic zero reduced cost to ``ties``, and to ``wide``
+    each one that fields a byte narrower than the walk's could not hold:
+    those are 8 ceil((bitlen(bound) + 2) / 8) bits wide for the bound
+    (p + 1) (ceil(sqrt p) max|V|)^p max|V| on V = [left | c]."""
     left = clear_denominators(left)[0]
     (c,), _ = clear_denominators([c])
     m, p = len(c), len(left[0])
+    largest = max(abs(v) for row in left for v in (*row, *c))
+    bound = (p + 1) * (math.ceil(math.sqrt(p)) * largest) ** p * largest
+    narrow = max(8 * ((bound.bit_length() + 9) // 8 - 1) - 1, 0)
     structures = []
     for basis in combinations(range(m), p):
         inverse = integer_inverse([[left[i][k] for i in basis] for k in range(p)])
@@ -348,6 +355,8 @@ def per_basis_structures(left, c, ties):
         for j in range(m):
             if j not in basis:
                 base = sum(a * b for a, b in zip(prices, left[j])) - det * c[j]
+                if abs(base) >> narrow:
+                    wide.append(j)
                 if not base:
                     ties.append(j)
                     base = reduced_cost_sign(left, c, basis, det, adjugate, j)
@@ -357,14 +366,16 @@ def per_basis_structures(left, c, ties):
 
 
 def reference_factors(rng, count):
-    """(left, c) pairs of full column rank, in turn: p = 0, Fraction
-    entries, repeated rows, c = k * (row sums), and entries above 2^53."""
+    """(left, c) pairs of full column rank, p <= 6 and m <= 12, in turn:
+    p = 0, Fraction entries, repeated rows, c = k * (row sums), entries
+    above 2^53, and rows of +-M among rows in [-M, M], for M up to 2^62,
+    which bring the reduced costs near the walk's field width."""
     out = []
     while len(out) < count:
-        kind = len(out) % 5
-        p = 0 if kind == 0 else rng.randint(1, 4)
-        m = rng.randint(max(p, 1), 8)
-        hi = 2**60 if kind == 4 else 3
+        kind = len(out) % 6
+        p = 0 if kind == 0 else rng.randint(1, 6)
+        m = rng.randint(max(p, 1), 12)
+        hi = {4: 2**60, 5: rng.randint(1, 2 ** rng.randint(1, 62))}.get(kind, 3)
         left = random_matrix(rng, m, p, -hi, hi)
         c = random_vector(rng, m, -hi, hi)
         if kind == 1:
@@ -376,17 +387,23 @@ def reference_factors(rng, count):
         elif kind == 3:
             k = rng.randint(-2, 2)
             c = [k * sum(row) for row in left]
+        elif kind == 5:
+            for i in range(0, m, 2):
+                left[i] = [rng.choice((-hi, hi)) for _ in range(p)]
+                c[i] = rng.choice((-hi, hi))
         if not p or rank_factorize(left).p == p:
             out.append((left, c))
     return out
 
 
 def test_prefix_minor_walk_matches_per_basis_inverses():
-    ties = []
-    for left, c in reference_factors(random.Random(68), 400):
-        expected = per_basis_structures(left, c, ties)
+    ties, wide = [], []
+    for left, c in reference_factors(random.Random(68), 300):
+        expected = per_basis_structures(left, c, ties, wide)
         assert enumerate_dual_feasible_bases(left, c) == expected, (left, c)
-    assert ties
+    # Nonbasic zeros take the tie rule, and some reduced costs would
+    # overflow fields one byte narrower.
+    assert ties and wide
 
 
 def test_forced_rankp_on_zero_matrix_matches_enumeration():
