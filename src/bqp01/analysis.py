@@ -11,7 +11,12 @@ matrix of rank at most one needs no elimination, since :func:`_rank_one`
 recognises it in one pass that compares each row with a multiple of the
 first pivot's row; otherwise :func:`_row_basis` reduces the rows in order
 and stops at its limit's next independent row, and only the few basis
-rows it finds are eliminated to reduced row echelon form.
+rows it finds are eliminated to reduced row echelon form.  The two
+one-pass detectors, :func:`_rank_one` and :func:`additive_mismatch`, key
+each row that passes by its multiplier or its shift; two rows that pass
+with one key are equal, so a row with a key seen before is checked by one
+tuple compare with the row stored under it, and only a new key costs an
+entrywise test.
 ``rank_factorize`` factors any matrix in full, by :func:`bareiss`.  The
 detectors take a matrix of exact rationals as it is; dispatch passes
 them ints.
@@ -155,8 +160,12 @@ def _rank_one(matrix: Sequence[Sequence[int]]):
     divided by its gcd is a primitive row t.  An integer row is a rational
     multiple of t only as an integer multiple, so the rank is at most one
     exactly when every row equals t times its own entry in the pivot
-    column over t's: one ``map`` and one tuple compare per row, stopping
-    at the first row that differs.  Elimination would leave the pivot row,
+    column over t's, its multiplier, stopping at the first row that
+    differs.  Two rows that pass with one multiplier are equal, so a row
+    whose multiplier an earlier row passed with is compared with that row
+    alone; only a new multiplier, or a row unequal to its stored one, pays
+    a ``map`` for the product.  Rows are compared as tuples, so list and
+    tuple rows mix.  Elimination would leave the pivot row,
     sign-normalised, above m - 1 zero rows, with |pivot| the determinant.
     """
     n = len(matrix[0]) if matrix else 0
@@ -167,9 +176,14 @@ def _rank_one(matrix: Sequence[Sequence[int]]):
     pivot = top[col]
     t = tuple(map(floordiv, top, repeat(gcd(*top))))
     lead = t[col]
+    passed = {}  # multiplier -> the first row that passed with it
     for row in matrix:
-        if tuple(map(mul, t, repeat(row[col] // lead))) != tuple(row):
-            return None
+        row = tuple(row)
+        k = row[col] // lead
+        if passed.get(k) != row:
+            if tuple(map(mul, t, repeat(k))) != row:
+                return None
+            passed[k] = row
     zeros = [[0] * n for _ in range(len(matrix) - 1)]
     return [list(top) if pivot > 0 else [-v for v in top], *zeros], [col], abs(pivot)
 
@@ -191,21 +205,28 @@ def rank_factorize(matrix: Sequence[Sequence]) -> RankFactorization:
 def additive_mismatch(q: Sequence[Sequence]) -> tuple[int, int] | None:
     """First (i, j) with q_ij - q_i0 - q_0j + q_00 != 0, else None.
 
-    None exactly when q_ij = a_i + b_j for some vectors a and b.  Each row
-    is tested at C speed, by counting the q_ij - q_0j equal to its first
-    one, with no set: that builds nothing per row and hashes no entry.
-    Only a failing row is walked to find its first mismatching entry.
+    None exactly when q_ij = a_i + b_j for some vectors a and b.  Two rows
+    that pass with one shift q_i0 - q_00 are equal, so a row whose shift
+    an earlier row passed with (row 0 with shift 0) passes when it equals
+    that row: one compare, pointer-fast on small ints, and one hash of the
+    shift.  Any other row is tested at C speed, by counting the
+    q_ij - q_0j equal to its shift, with no set, and a row that fails is
+    walked to find its first mismatching entry, so the stored rows never
+    change the answer.
     """
     top = q[0]
     base = top[0]
     n = len(top)
+    passed = {0: top}  # shift -> a row that passed with it
     for i in range(1, len(q)):
         row = q[i]
         shift = row[0] - base
-        if countOf(map(sub, row, top), shift) != n:
-            for j, (v, t) in enumerate(zip(row, top)):
-                if v != t + shift:
-                    return (i, j)
+        if passed.get(shift) != row:
+            if countOf(map(sub, row, top), shift) != n:
+                for j, (v, t) in enumerate(zip(row, top)):
+                    if v != t + shift:
+                        return (i, j)
+            passed[shift] = row
     return None
 
 

@@ -243,11 +243,32 @@ ENTRIES = st.one_of(
 )
 
 
+def row_types(draw, q):
+    """q's rows as lists, as tuples, or each one either."""
+    types = draw(st.sampled_from(["lists", "tuples", "both"]))
+    if types == "both":
+        return [tuple(row) if draw(st.booleans()) else list(row) for row in q]
+    return [(tuple if types == "tuples" else list)(row) for row in q]
+
+
+def copy_with_one_change(draw, q, avoid):
+    """Replace a later row of q by a copy of an earlier one with the entry
+    at one column other than ``avoid`` changed (by 0: an exact repeat)."""
+    n = len(q[0])
+    k, i = sorted(draw(st.lists(st.integers(0, len(q) - 1), min_size=2, max_size=2, unique=True)))
+    q[i] = list(q[k])
+    j = draw(st.sampled_from([j for j in range(n) if j > avoid] or [j for j in range(n) if j != avoid]))
+    q[i][j] += draw(st.sampled_from([0, 1, -1, 2**40]))
+
+
 @st.composite
 def near_rank_one(draw):
     """Outer products a b^T times a common factor, with zero rows, leading
     zero columns and near 2^62 entries, sometimes with one row replaced
-    (often the last, so every earlier row is a multiple); lists or tuples."""
+    (often the last, so every earlier row is a multiple), sometimes with a
+    row that copies an earlier one, multiplier and all, but for one entry
+    off the pivot column (right of it where there is one); lists, tuples
+    or both."""
     m, n = draw(st.integers(0, 6)), draw(st.integers(1, 7))
     a = draw(st.lists(ENTRIES, min_size=m, max_size=m))
     b = draw(st.lists(ENTRIES, min_size=n, max_size=n))
@@ -258,7 +279,10 @@ def near_rank_one(draw):
     if m and draw(st.booleans()):
         i = m - 1 if draw(st.booleans()) else draw(st.integers(0, m - 1))
         q[i] = draw(st.lists(ENTRIES, min_size=n, max_size=n))
-    return [tuple(row) for row in q] if draw(st.booleans()) else q
+    if m > 1 and n > 1 and draw(st.booleans()):
+        pivot_col = next((j for j in range(n) for row in q if row[j]), 0)
+        copy_with_one_change(draw, q, pivot_col)
+    return row_types(draw, q)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -409,6 +433,16 @@ def test_integer_inverse_runs_no_rank_one_pass(monkeypatch):
     assert passes == []
 
 
+def first_additive_mismatch(q):
+    """The first (i, j) in row order whose 2x2 minor with row 0 and column 0
+    is nonzero, q_ij - q_i0 - q_0j + q_00 != 0, else None."""
+    return next(
+        ((i, j) for i in range(len(q)) for j in range(len(q[0]))
+         if q[i][j] - q[i][0] - q[0][j] + q[0][0]),
+        None,
+    )
+
+
 def test_additive_mismatch_is_the_first_one():
     a, b = [3, -1, 4, 1, -5, 9], [2, 6, -5, 3, 5]
     q = [[ai + bj for bj in b] for ai in a]
@@ -423,12 +457,47 @@ def test_additive_mismatch_is_the_first_one():
         a = [rng.randint(-3, 3) for _ in range(m)]
         b = [rng.choice((rng.randint(-3, 3), 2**62 + 1)) for _ in range(n)]
         q = [[ai + bj + (rng.random() < 0.1) for bj in b] for ai in a]
-        first = next(
-            ((i, j) for i in range(m) for j in range(n)
-             if q[i][j] - q[i][0] - q[0][j] + q[0][0]),
-            None,
-        )
-        assert additive_mismatch(q) == first
+        assert additive_mismatch(q) == first_additive_mismatch(q)
+
+
+@st.composite
+def near_additive(draw):
+    """q_ij = a_i + b_j with few distinct shifts a_i - a_0 and entries near
+    2^62, with zero rows (which pass when b is constant), sometimes a row
+    that copies an earlier row, shift and all, but for one entry at some
+    j >= 1, and sometimes Fraction entries; lists, tuples or both."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    a = draw(st.lists(st.one_of(st.integers(-2, 2), NEAR_2_62), min_size=m, max_size=m))
+    b = draw(st.lists(st.one_of(st.integers(-4, 4), NEAR_2_62), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        b = [b[0]] * n
+    q = [[x + y for y in b] for x in a]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        q[i] = [0] * n
+    if m > 1 and n > 1 and draw(st.booleans()):
+        copy_with_one_change(draw, q, 0)
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([3, 2**40]))
+        q = [[Fraction(v, den) for v in row] for row in q]
+    return row_types(draw, q)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(near_additive())
+@example([[0, 0, 0], [1, 1, 1], [1, 1, 2]])  # row 1's shift, off at j = 2
+@example([[5, 5], [0, 0], [0, 0], [0, 1]])
+@example([(1, 2, 3), [2, 3, 4], (2, 3, 4), [2, 3, 4], (2, 3, 5)])
+@example([[2**62 + 1, 3], [2**62 + 1, 3], [2**62 + 1, 4]])  # shift 0, the top row's
+@example([[7]])
+def test_additive_mismatch_is_the_first_on_repeated_shifts(q):
+    """A row whose shift an earlier passing row had passes only by being
+    equal to it; any other row is tested in full, so the first mismatch is
+    the reference's, whatever the rows' types."""
+    copy = [list(row) for row in q]
+    first = first_additive_mismatch(q)
+    assert additive_mismatch(q) == first
+    assert (detect_additive(q) is None) == (first is not None)
+    assert [list(row) for row in q] == copy
 
 
 def test_additive_detection_recovers_convention():

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 import sympy
@@ -141,6 +141,38 @@ def test_explicit_algorithm_precondition_failures():
         dispatch_solve(sample_general(), "rank1")
     with pytest.raises(ValueError, match="unknown algorithm"):
         dispatch_solve(sample_general(), "magic")
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (1, 3), (3, 1)])
+def test_every_route_on_every_small_instance(m, n):
+    """Every m x n instance with q, c and d in {-1, 0, 1}: 6,561 at 2 x 2,
+    2,187 at 1 x 3 and at 3 x 1.  auto and every forced route that applies
+    reach solve_oracle's value, and mincut, additive and rank1 raise, on
+    each matrix, exactly where it has a negative entry, is not additive,
+    or has rank > 1 by its 2x2 minors.  Zero and repeated rows, where the
+    detectors compare a row with an earlier one, are common at this scope."""
+    minors = [(i, k, j, l) for i, k in combinations(range(m), 2) for j, l in combinations(range(n), 2)]
+    for cells in product((-1, 0, 1), repeat=m * n):
+        q = [cells[i * n:(i + 1) * n] for i in range(m)]
+        applies = {
+            "mincut": min(cells) >= 0,
+            "additive": not any(q[i][j] + q[k][l] - q[i][l] - q[k][j] for i, k, j, l in minors),
+            "rank1": not any(q[i][j] * q[k][l] - q[i][l] * q[k][j] for i, k, j, l in minors),
+            "rankp": True,
+            "enum": True,
+            "eliminator": True,
+        }
+        for route in [route for route, holds in applies.items() if not holds]:
+            with pytest.raises(ValueError):
+                dispatch_solve(Instance(q), route)
+        for linear in product((-1, 0, 1), repeat=m + n):
+            inst = Instance(q, linear[:m], linear[m:])
+            best = solve_oracle(inst).value
+            auto = dispatch_solve(inst)
+            assert auto.solution.value == best, inst
+            # Forcing auto's route would run the same solver on the same facts.
+            for route in [route for route, holds in applies.items() if holds and route != auto.algorithm]:
+                assert dispatch_solve(inst, route).solution.value == best, (route, inst)
 
 
 def test_refusal_carries_analysis_report():
