@@ -83,9 +83,15 @@ def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
     Sylvester's identity the division is exact and every entry is a minor
     of the input (Bareiss, Math. Comp. 22, 1968), so no fractions arise.
     A matrix of rank at most one is answered without elimination, by
-    :func:`_rank_one`; the result is the same.
+    :func:`_rank_one`, with the zero rows elimination would leave below
+    its pivot row; the result is the same.
     """
-    return _rank_one(matrix) or _eliminate(matrix)
+    found = _rank_one(matrix)
+    if found is None:
+        return _eliminate(matrix)
+    rows, pivots, det = found
+    zeros = ([0] * len(row) for row in matrix[len(rows):])
+    return [*rows, *zeros], pivots, det
 
 
 def _eliminate(matrix: Sequence[Sequence[int]]):
@@ -154,7 +160,7 @@ def _row_basis(matrix: Sequence[Sequence[int]], max_pivots: int):
 
 
 def _rank_one(matrix: Sequence[Sequence[int]]):
-    """:func:`bareiss`'s full result when rank(matrix) <= 1, else None.
+    """:func:`bareiss`'s result without its zero rows when rank(matrix) <= 1, else None.
 
     The first pivot is found as the elimination finds it, and its row
     divided by its gcd is a primitive row t.  An integer row is a rational
@@ -166,12 +172,13 @@ def _rank_one(matrix: Sequence[Sequence[int]]):
     alone; only a new multiplier, or a row unequal to its stored one, pays
     a ``map`` for the product.  Rows are compared as tuples, so list and
     tuple rows mix.  Elimination would leave the pivot row,
-    sign-normalised, above m - 1 zero rows, with |pivot| the determinant.
+    sign-normalised, above m - 1 zero rows, with |pivot| the determinant;
+    only the pivot row is returned, and no row for a zero matrix.
     """
     n = len(matrix[0]) if matrix else 0
     first = next(((row, col) for col in range(n) for row in matrix if row[col]), None)
     if first is None:
-        return [list(row) for row in matrix], [], 1
+        return [], [], 1
     top, col = first
     pivot = top[col]
     t = tuple(map(floordiv, top, repeat(gcd(*top))))
@@ -184,8 +191,7 @@ def _rank_one(matrix: Sequence[Sequence[int]]):
             if tuple(map(mul, t, repeat(k))) != row:
                 return None
             passed[k] = row
-    zeros = [[0] * n for _ in range(len(matrix) - 1)]
-    return [list(top) if pivot > 0 else [-v for v in top], *zeros], [col], abs(pivot)
+    return [list(top) if pivot > 0 else [-v for v in top]], [col], abs(pivot)
 
 
 def rank_factorize(matrix: Sequence[Sequence]) -> RankFactorization:

@@ -1,12 +1,13 @@
 """Structure analysis, automatic solver selection, and cross-validation.
 
-``dispatch_solve`` routes an instance to the cheapest applicable exact
-solver: min-cut for nonnegative matrices, the cardinality scan for
-additive ones, the breakpoint sweep or basis enumeration for low rank,
-x-side enumeration for few rows, and eliminator fixing for few negative
-entries.  Every route is exact, so priority is purely a performance
-choice.  ``bench`` runs several solvers on the same instances and fails
-hard if any two disagree.
+``dispatch_solve`` routes an instance to the first solver, in a fixed
+order, whose structure it has: min-cut for nonnegative matrices, the
+cardinality scan for additive ones, the breakpoint sweep or basis
+enumeration for low rank, x-side enumeration for few rows, and
+eliminator fixing for few negative entries.  Every route is exact; the
+first match is not always the fastest (few rows take ``enum`` even
+where a small eliminator is far faster).  ``bench`` runs several
+solvers on the same instances and fails hard if any two disagree.
 """
 
 from __future__ import annotations
@@ -107,14 +108,13 @@ def dispatch_solve(
     set) are solved on their integer form, which holds the 0-1 rewrite,
     and reported as signs s = 2w - 1.  Solvers run on the integer form,
     oriented so the enumerated/parameterized side is the shorter one;
-    solutions are reported in the original orientation.  ``auto`` tries,
-    in order: nonnegative -> mincut, additive -> additive, rank <= 1 ->
-    rank1, rank <= p_limit -> rankp, m <= enum_limit -> enum, eliminator
-    within limit -> eliminator; if nothing applies a SolverRefusal
-    carrying the analysis report is raised.  A forced ``oracle`` refuses
-    when m + n > enum_limit.  A reported value that differs from the
-    objective at its point raises CrossValidationError.
-    ``wall_time`` times the whole call, conversions and that check too.
+    solutions are reported in the original orientation.  ``auto`` takes
+    the first route, in ``_run``'s order, whose condition holds within the
+    limits; if none does, a SolverRefusal carrying the analysis report is
+    raised.  A forced ``oracle`` refuses when m + n > enum_limit.  A
+    reported value that differs from the objective at its point raises
+    CrossValidationError.  ``wall_time`` times the whole call, conversions
+    and that check too.
     """
     start = time.perf_counter()
     return _solve(analyze(inst), algorithm, start, p_limit, enum_limit, eliminator_limit)
@@ -125,14 +125,12 @@ def _solve(found: AnalysisReport, algorithm: str, start: float, *limits: int) ->
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     work = found.work
-    if algorithm == "auto":
-        algorithm = _auto_route(found, *limits)
-    detected, solution = _run(found, algorithm, *limits)
+    route, detected, solution = _run(found, algorithm, *limits)
 
     x, y = solution.x, solution.y
     if work.objective(x, y) != solution.value * work.scale:
         raise CrossValidationError(
-            f"{algorithm} reported {solution.value}, but the objective at its point "
+            f"{route} reported {solution.value}, but the objective at its point "
             f"is {Fraction(work.objective(x, y), work.scale)}"
         )
     if found.transposed:
@@ -142,46 +140,48 @@ def _solve(found: AnalysisReport, algorithm: str, start: float, *limits: int) ->
         y = tuple(2 * v - 1 for v in y)
     return SolveReport(
         solution=Solution(x, y, solution.value),
-        algorithm=algorithm,
+        algorithm=route,
         detected=detected,
         wall_time=time.perf_counter() - start,
     )
 
 
-def _auto_route(found: AnalysisReport, p_limit: int, enum_limit: int, eliminator_limit: int):
-    """The first route whose condition holds, reading each fact only when reached."""
-    if found.nonnegative:
-        return "mincut"
-    if found.additive:
-        return "additive"
-    # Only ranks up to max(p_limit, 1) route, so the row pass stops one independent row past that.
-    fact = found.work.rank_at_most(max(p_limit, 1))
-    if fact is not None:
-        return "rank1" if fact.p <= 1 else "rankp"
-    if found.work.m <= enum_limit:
-        return "enum"
-    if found.eliminator.size <= eliminator_limit:
-        return "eliminator"
-    raise SolverRefusal(
-        f"no solver applicable within limits: rank > p_limit {p_limit}, "
-        f"min(m, n) {found.work.m} > enum_limit {enum_limit}, "
-        f"eliminator {found.eliminator.size} > "
-        f"eliminator_limit {eliminator_limit}, matrix not nonnegative or additive; "
-        f"raise one of them (--p-limit, --enum-limit, --eliminator-limit)",
-        report=found,
-    )
-
-
 def _run(
     found: AnalysisReport, algorithm: str, p_limit: int, enum_limit: int, eliminator_limit: int
-) -> tuple[str, Solution]:
-    """(detected label, solution) of the named solver on ``found.work``.
+) -> tuple[str, str, Solution]:
+    """(route, detected label, solution) of the named solver on ``found.work``.
 
-    Only the chosen route's module is imported, and each solver is read
-    from its module at call time, so a patched one runs.
+    One branch per route, in ``auto``'s order: ``auto`` takes the first
+    whose condition holds, reading each fact only when reached, and a
+    forced name skips every condition.  Only the chosen route's module is
+    imported, and each solver is read from its module at call time, so a
+    patched one runs.
     """
     work = found.work
-    if algorithm in ("oracle", "enum"):
+    auto = algorithm == "auto"
+    if algorithm == "mincut" or auto and found.nonnegative:
+        from . import mincut
+
+        return "mincut", "nonnegative matrix", mincut.solve_nonnegative(work)
+    if algorithm == "additive" or auto and found.additive:
+        from . import additive
+
+        # A known-additive matrix goes straight to the scan; otherwise
+        # solve_additive raises, naming the first mismatch.
+        scan = additive.cardinality_scan if found.additive else additive.solve_additive
+        return "additive", "additive matrix", scan(work)
+    # Only ranks up to max(p_limit, 1) route, so the row pass stops one independent row past that.
+    fact = work.rank_at_most(max(p_limit, 1)) if auto else None
+    if algorithm == "rank1" or auto and fact is not None and fact.p <= 1:
+        from . import rank_one
+
+        return "rank1", "rank-one matrix", rank_one.solve_rank_one(work)
+    if algorithm == "rankp" or auto and fact is not None:
+        from . import fixed_rank
+
+        solution = fixed_rank.solve_fixed_rank(work, p_limit)
+        return "rankp", f"rank-{work.rank_at_most(p_limit).p} matrix", solution
+    if algorithm in ("oracle", "enum") or auto and work.m <= enum_limit:
         from . import enumeration
 
         if algorithm == "oracle":
@@ -190,35 +190,25 @@ def _run(
                     f"oracle over 2^{work.m + work.n} (x, y) pairs exceeds enum_limit "
                     f"2^{enum_limit}; raise enum_limit (--enum-limit) to force"
                 )
-            return "exhaustive scan", enumeration.solve_oracle(work)
-        return f"{work.m} rows", enumeration.solve_enumeration(work, enum_limit)
-    if algorithm == "rank1":
-        from . import rank_one
+            return "oracle", "exhaustive scan", enumeration.solve_oracle(work)
+        return "enum", f"{work.m} rows", enumeration.solve_enumeration(work, enum_limit)
+    if algorithm == "eliminator" or auto and found.eliminator.size <= eliminator_limit:
+        from . import mincut
 
-        return "rank-one matrix", rank_one.solve_rank_one(work)
-    if algorithm == "rankp":
-        from . import fixed_rank
-
-        solution = fixed_rank.solve_fixed_rank(work, p_limit)
-        return f"rank-{work.rank_at_most(p_limit).p} matrix", solution
-    if algorithm == "additive":
-        from . import additive
-
-        # A known-additive matrix goes straight to the scan; otherwise
-        # solve_additive raises, naming the first mismatch.
-        scan = additive.cardinality_scan if found.additive else additive.solve_additive
-        return "additive matrix", scan(work)
-    from . import mincut
-
-    if algorithm == "mincut":
-        return "nonnegative matrix", mincut.solve_nonnegative(work)
-    if algorithm == "eliminator":
         elim = found.eliminator
         return (
+            "eliminator",
             f"negative eliminator of size {elim.size}",
             mincut.solve_with_eliminator(work, elim, eliminator_limit),
         )
-    raise AssertionError(algorithm)
+    raise SolverRefusal(
+        f"no solver applicable within limits: rank > p_limit {p_limit}, "
+        f"min(m, n) {work.m} > enum_limit {enum_limit}, "
+        f"eliminator {found.eliminator.size} > "
+        f"eliminator_limit {eliminator_limit}, matrix not nonnegative or additive; "
+        f"raise one of them (--p-limit, --enum-limit, --eliminator-limit)",
+        report=found,
+    )
 
 
 class BenchRow(Record):

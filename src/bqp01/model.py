@@ -319,7 +319,7 @@ class IntegerInstance(_Shape):
             found = _eliminate(basis)
         rows, pivots, det = found
         left = tuple(tuple(row[col] for col in pivots) for row in self.q)
-        return RankFactorization(len(pivots), left, tuple(map(tuple, rows[: len(pivots)])), det)
+        return RankFactorization(len(pivots), left, tuple(map(tuple, rows)), det)
 
     def objective(self, x: Sequence[int], y: Sequence[int]) -> int:
         """Scale times the original objective at the 0-1 point (x, y).

@@ -92,6 +92,43 @@ def test_every_named_algorithm_agrees():
     assert set(values.values()) == {Fraction(56)}
 
 
+def test_every_forced_route_reports_its_name_and_label(monkeypatch):
+    # All-ones q: nonnegative, additive and rank one, so every route applies.
+    inst = Instance([[1, 1], [1, 1]], [-1, 0], [0, -2])
+    expected = {
+        "auto": ("mincut", "nonnegative matrix"),
+        "oracle": ("oracle", "exhaustive scan"),
+        "enum": ("enum", "2 rows"),
+        "rank1": ("rank1", "rank-one matrix"),
+        "rankp": ("rankp", "rank-1 matrix"),
+        "additive": ("additive", "additive matrix"),
+        "mincut": ("mincut", "nonnegative matrix"),
+        "eliminator": ("eliminator", "negative eliminator of size 0"),
+    }
+    assert set(expected) == set(ALGORITHMS)
+    calls = []
+
+    def counted(name):
+        detector = getattr(bqp01.dispatch, name)
+
+        def count(q):
+            calls.append(name)
+            return detector(q)
+
+        return count
+
+    for name in ("detect_additive", "min_negative_eliminator"):
+        monkeypatch.setattr(bqp01.dispatch, name, counted(name))
+    # Only its own route runs a detector: a forced name reads no condition.
+    own = {"additive": ["detect_additive"], "eliminator": ["min_negative_eliminator"]}
+    for algorithm in ALGORITHMS:
+        calls.clear()
+        report = dispatch_solve(inst, algorithm)
+        assert (report.algorithm, report.detected) == expected[algorithm]
+        assert report.solution.value == 1
+        assert calls == own.get(algorithm, [])
+
+
 def test_auto_never_beaten_by_oracle():
     rng = random.Random(101)
     for _ in range(60):
@@ -521,12 +558,16 @@ def test_refusal_report_is_in_the_callers_orientation():
 
 
 def test_refusal_names_the_shorter_side_for_enum():
-    for m, n in ((40, 30), (30, 40)):
+    for (m, n), size in (((40, 30), 21), ((30, 40), 20)):
         inst = generate_instance("sparse-negative40", m, n, 1)
         with pytest.raises(SolverRefusal) as err:
             dispatch_solve(inst, enum_limit=10, eliminator_limit=5)
-        assert "min(m, n) 30 > enum_limit 10" in str(err.value)
-        assert "rank > p_limit 6" in str(err.value)
+        assert str(err.value) == (
+            "no solver applicable within limits: rank > p_limit 6, "
+            f"min(m, n) 30 > enum_limit 10, eliminator {size} > eliminator_limit 5, "
+            "matrix not nonnegative or additive; "
+            "raise one of them (--p-limit, --enum-limit, --eliminator-limit)"
+        )
         # The report bounds the rank where the default p_limit does.
         assert dict(err.value.report.lines())["rank"] == ">6"
 
