@@ -9,15 +9,16 @@ shared Dinic core of ``mincut``).  Dispatch routes on
 ``IntegerInstance.rank_at_most``, which asks one fact at a time: a
 matrix of rank at most one needs no elimination, since :func:`_rank_one`
 recognises it in one pass that compares each row with a multiple of the
-first pivot's row; otherwise :func:`_row_basis` reduces the rows in order
-and stops at its limit's next independent row, and only the few basis
-rows it finds are eliminated to reduced row echelon form.  The two
+first pivot's row; otherwise :func:`_row_reduce`, the one elimination,
+reduces the rows in order, stops at its limit's next independent row,
+and when the rows run out first finishes the basis rows it kept to
+reduced row echelon form by back-substitution.  The two
 one-pass detectors, :func:`_rank_one` and :func:`additive_mismatch`, key
 each row that passes by its multiplier or its shift; two rows that pass
 with one key are equal, so a row with a key seen before is checked by one
 tuple compare with the row stored under it, and only a new key costs an
 entrywise test.
-``rank_factorize`` factors any matrix in full, by :func:`bareiss`.  The
+``rank_factorize`` factors any matrix in full by the same two passes.  The
 detectors take a matrix of exact rationals as it is; dispatch passes
 them ints.
 """
@@ -28,7 +29,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import countOf, floordiv, mul, sub
+from operator import countOf, floordiv, mul, neg, pos, sub
 
 from .model import Record, _freeze_rows, _pair, _scale_pairs
 
@@ -41,8 +42,8 @@ class RankFactorization(Record):
     reduced row echelon form, so it has full row rank).  Rational factors
     have denominator 1.  ``IntegerInstance.rank_at_most`` returns all-int
     ones whose denominator is |det| of the pivot minor of the basis rows
-    it eliminated: the pivot row for rank one, the rows ``_row_basis``
-    kept otherwise.
+    it kept: the pivot row for rank one, the rows ``_row_reduce`` kept
+    otherwise.
     """
 
     p: int
@@ -73,94 +74,57 @@ class Eliminator(Record):
         return len(self.rows) + len(self.cols)
 
 
-def bareiss(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+def _row_reduce(matrix: Sequence[Sequence[int]], max_pivots: int | None = None):
+    """(rows, pivots, det) with rows = det * RREF(matrix) without its zero
+    rows, pivots ascending and det > 0, or None as soon as ``max_pivots``
+    independent rows are found.
 
-    Returns (rows, pivots, det) with rows = det * RREF(matrix) and det > 0
-    (+-det of the pivot minor; 1 if there is no pivot).  Pivots take the
-    first nonzero entry in column order.  Each step replaces every other
-    row by (pivot * row - factor * pivot row) / previous pivot; by
-    Sylvester's identity the division is exact and every entry is a minor
-    of the input (Bareiss, Math. Comp. 22, 1968), so no fractions arise.
-    A matrix of rank at most one is answered without elimination, by
-    :func:`_rank_one`, with the zero rows elimination would leave below
-    its pivot row; the result is the same.
-    """
-    found = _rank_one(matrix)
-    if found is None:
-        return _eliminate(matrix)
-    rows, pivots, det = found
-    zeros = ([0] * len(row) for row in matrix[len(rows):])
-    return [*rows, *zeros], pivots, det
-
-
-def _eliminate(matrix: Sequence[Sequence[int]]):
-    """:func:`bareiss` without the rank <= 1 pass, for a caller that knows
-    the pass cannot save an elimination."""
-    rows = [list(row) for row in matrix]
-    m = len(rows)
-    pivots: list[int] = []
-    prev = 1
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        top = rows[r]
-        pivot = top[col]
-        for i, row in enumerate(rows):
-            factor = row[col]
-            if i != r and (factor or pivot != prev):
-                # Rows below the pivot are zero left of col.
-                lo = col if i > r else 0
-                row[lo:] = [(pivot * a - factor * b) // prev for a, b in zip(row[lo:], top[lo:])]
-        pivots.append(col)
-        prev = pivot
-    if prev < 0:
-        return [[-v for v in row] for row in rows], pivots, -prev
-    return rows, pivots, prev
-
-
-def _row_basis(matrix: Sequence[Sequence[int]], max_pivots: int):
-    """The rows of matrix, in order, that the rows before them do not
-    span, or None as soon as ``max_pivots`` of them are found.
-
-    A fraction-free forward elimination driven by rows: each row is
+    A fraction-free elimination driven by rows.  Forward, each row is
     brought through the pivot steps recorded so far, (pivot * row -
-    factor * pivot row) / previous pivot, exact as in :func:`_eliminate`
-    because each step is a Bareiss step of the matrix with the pivot rows
-    first.  A nonzero remainder makes the row a basis row, its first
-    nonzero entry the next pivot.  So rank >= max_pivots is proved after
-    reading only the rows up to the max_pivots-th independent one, in
-    about max_pivots^2 n / 2 steps.  The basis spans the row space, so
-    its RREF is the matrix's.
+    factor * pivot row) / previous pivot; a nonzero remainder makes it a
+    basis row, its first nonzero entry the next pivot, and a zero one
+    means the rows before it span it.  So rank >= max_pivots is proved
+    after reading only the rows up to the max_pivots-th independent one,
+    in about max_pivots^2 n / 2 steps.  When the rows run out first, each
+    basis row, stored at its own step, is brought through the later steps
+    by the same update (back-substitution), which leaves the last pivot
+    at every pivot and zeros above and below it.  Every step is a Bareiss
+    step of the basis rows taken first, so by Sylvester's identity each
+    division is exact and every entry is a minor of the input (Bareiss,
+    Math. Comp. 22, 1968): no fractions arise.  The basis spans the row
+    space, so its RREF is the matrix's, and det is |det| of the basis
+    rows' pivot minor (1 if there is no pivot).
     """
-    basis: list[Sequence[int]] = []
     steps: list[tuple[Sequence[int], int, int]] = []  # (pivot row, column, pivot)
-    for row in matrix:
-        v, prev = row, 1
-        for top, col, pivot in steps:
+
+    def through(v, prev, later):
+        for top, col, pivot in later:
             factor = v[col]
             if factor:
                 v = [(pivot * a - factor * b) // prev for a, b in zip(v, top)]
             elif pivot != prev:
                 v = [pivot * a // prev for a in v]
             prev = pivot
+        return v
+
+    for row in matrix:
+        v = through(row, 1, steps)
         if not any(v):
             continue
-        if len(basis) + 1 == max_pivots:
+        if len(steps) + 1 == max_pivots:
             return None
-        basis.append(row)
         col = v.index(next(filter(None, v)))  # entries before it are zero
         steps.append((v, col, v[col]))
-    return basis
+    done = sorted(
+        (col, through(top, pivot, steps[k + 1:])) for k, (top, col, pivot) in enumerate(steps)
+    )
+    last = steps[-1][2] if steps else 1
+    sign = neg if last < 0 else pos
+    return [list(map(sign, row)) for _, row in done], [col for col, _ in done], abs(last)
 
 
 def _rank_one(matrix: Sequence[Sequence[int]]):
-    """:func:`bareiss`'s result without its zero rows when rank(matrix) <= 1, else None.
+    """:func:`_row_reduce`'s result when rank(matrix) <= 1, else None.
 
     The first pivot is found as the elimination finds it, and its row
     divided by its gcd is a primitive row t.  An integer row is a rational
@@ -171,9 +135,9 @@ def _rank_one(matrix: Sequence[Sequence[int]]):
     whose multiplier an earlier row passed with is compared with that row
     alone; only a new multiplier, or a row unequal to its stored one, pays
     a ``map`` for the product.  Rows are compared as tuples, so list and
-    tuple rows mix.  Elimination would leave the pivot row,
-    sign-normalised, above m - 1 zero rows, with |pivot| the determinant;
-    only the pivot row is returned, and no row for a zero matrix.
+    tuple rows mix.  The row pass keeps the pivot row alone,
+    sign-normalised, with |pivot| the determinant, and no row for a zero
+    matrix.
     """
     n = len(matrix[0]) if matrix else 0
     first = next(((row, col) for col in range(n) for row in matrix if row[col]), None)
@@ -198,13 +162,15 @@ def rank_factorize(matrix: Sequence[Sequence]) -> RankFactorization:
     """Factor q = left @ right with p = rank(q), both factors exact.
 
     left collects the pivot columns of q; right collects the nonzero rows
-    of RREF(q), which :func:`bareiss` gives times its determinant on the
-    integer-scaled matrix.  A zero matrix yields p = 0 with empty factors.
+    of RREF(q), which :func:`_rank_one` or else :func:`_row_reduce` gives
+    times its determinant on the integer-scaled matrix.  A zero matrix
+    yields p = 0 with empty factors.
     """
     q, flags = _freeze_rows(matrix)
-    rows, pivots, det = bareiss(_scale_pairs(list(map(_pair, q, flags)))[0])
+    ints = _scale_pairs(list(map(_pair, q, flags)))[0]
+    rows, pivots, det = _rank_one(ints) or _row_reduce(ints)
     left = tuple(tuple(row[col] for col in pivots) for row in q)
-    right = tuple(tuple(Fraction(v, det) for v in row) for row in rows[: len(pivots)])
+    right = tuple(tuple(Fraction(v, det) for v in row) for row in rows)
     return RankFactorization(len(pivots), left, right)
 
 

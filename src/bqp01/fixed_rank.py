@@ -53,7 +53,7 @@ from itertools import combinations, product
 from math import comb, isqrt
 from operator import itemgetter, mul, neg
 
-from .analysis import _eliminate
+from .analysis import _row_reduce
 from .enumeration import best_y_for_x, pack_column_gains, pack_fields
 from .errors import DEFAULT_P_LIMIT, SolverRefusal
 from .model import (
@@ -85,14 +85,15 @@ def integer_inverse(
 ) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
     """(det, adj) with adj @ rows == det * I for a square integer matrix.
 
-    :func:`bareiss` on [rows | I] leaves [D I | D rows^-1] with D = |det|,
-    so the pair is the determinant and adjugate up to a common sign.  None
-    if the matrix is singular; the empty matrix gives (1, ()).  [rows | I]
-    has rank p, so the rank <= 1 pass could answer only p <= 1, where the
+    :func:`~bqp01.analysis._row_reduce` on [rows | I] leaves
+    [D I | D rows^-1] with D = |det|, so the pair is the determinant and
+    adjugate up to a common sign.  A singular matrix puts a pivot in the
+    I block: None.  The empty matrix gives (1, ()).  [rows | I] has rank
+    p, so the rank <= 1 pass could answer only p <= 1, where the
     elimination is one step: it is skipped.
     """
     p = len(rows)
-    aug, pivots, det = _eliminate(
+    aug, pivots, det = _row_reduce(
         [list(row) + [int(i == j) for j in range(p)] for i, row in enumerate(rows)]
     )
     if pivots != list(range(p)):

@@ -304,19 +304,16 @@ class IntegerInstance(_Shape):
 
         If ``rank_one`` (no earlier query proved rank > 1), the rank <= 1
         pass answers first, finished whatever the limit.  Otherwise the
-        row pass collects the independent rows in order, and only those few
-        are eliminated: they span q's row space, so the pivot columns, p
-        and the RREF are q's own.
+        row pass keeps the independent rows in order and finishes only
+        those few: they span q's row space, so the pivot columns, p and
+        the RREF are q's own.
         """
         # analysis imports model
-        from .analysis import RankFactorization, _eliminate, _rank_one, _row_basis
+        from .analysis import RankFactorization, _rank_one, _row_reduce
 
-        found = _rank_one(self.q) if rank_one else None
+        found = (_rank_one(self.q) if rank_one else None) or _row_reduce(self.q, max_pivots)
         if found is None:
-            basis = _row_basis(self.q, max_pivots)
-            if basis is None:
-                return None
-            found = _eliminate(basis)
+            return None
         rows, pivots, det = found
         left = tuple(tuple(row[col] for col in pivots) for row in self.q)
         return RankFactorization(len(pivots), left, tuple(map(tuple, rows)), det)
@@ -438,7 +435,11 @@ def _bilinear_value(q, c, d, c0, x, y):
 def evaluate_objective(inst, x: Sequence[int], y: Sequence[int]) -> Fraction:
     """Exact objective value of ``inst`` at the binary point (x, y).  An
     :class:`IntegerInstance` gives its source's, dividing by ``scale``: for
-    a ``cut`` one, the cut value at (2x - 1, 2y - 1)."""
+    a ``cut`` one, the cut value at (2x - 1, 2y - 1).  Raises TypeError on
+    a :class:`CutInstance`, whose coefficients are read at sign points."""
+    if isinstance(inst, CutInstance):
+        raise TypeError("a CutInstance takes sign points: use evaluate_cut_objective,"
+                        " or evaluate its .integer form at a 0-1 point")
     _check_assignment(x, inst.m, (0, 1), "x")
     _check_assignment(y, inst.n, (0, 1), "y")
     value = _bilinear_value(inst.q, inst.c, inst.d, inst.c0, x, y)

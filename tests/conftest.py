@@ -54,6 +54,41 @@ def random_rank_one_instance(rng, m, n, lo=-6, hi=6):
     )
 
 
+def eliminate(matrix, max_pivots=None):
+    """Column-driven Gauss-Jordan Bareiss elimination with row swaps, as
+    the package ran before it recognised rank <= 1 in one pass, with the
+    pivot bound that rank queries passed before the row pass: on the rows
+    that raise the rank, the reference that the rank <= 1 pass and the row
+    pass must reproduce."""
+    rows = [list(row) for row in matrix]
+    m = len(rows)
+    pivots = []
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        if r + 1 == max_pivots:
+            pivots.append(col)
+            break
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top = rows[r]
+        pivot = top[col]
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i != r and (factor or pivot != prev):
+                lo = col if i > r else 0
+                row[lo:] = [(pivot * a - factor * b) // prev for a, b in zip(row[lo:], top[lo:])]
+        pivots.append(col)
+        prev = pivot
+    if prev < 0:
+        return [[-v for v in row] for row in rows], pivots, -prev
+    return rows, pivots, prev
+
+
 def negativity_graph(q):
     """networkx graph of q's negative entries: row i is node i, column j is
     node m + j, and each q_ij < 0 is an edge.  Returns (graph, row nodes)."""

@@ -14,18 +14,11 @@ from bqp01 import (
     min_negative_eliminator,
     rank_factorize,
 )
-from bqp01.analysis import (
-    RankFactorization,
-    _eliminate,
-    _rank_one,
-    _row_basis,
-    additive_mismatch,
-    bareiss,
-)
+from bqp01.analysis import RankFactorization, _rank_one, _row_reduce, additive_mismatch
 from bqp01.fixed_rank import integer_inverse
 from bqp01.fixtures import sample_additive, sample_nonnegative, sample_rank_one
 
-from conftest import matching_size, negativity_graph, random_fraction, random_matrix
+from conftest import eliminate, matching_size, negativity_graph, random_fraction, random_matrix
 
 
 def multiply(left, right, m, n):
@@ -141,18 +134,18 @@ def kept_rows(q):
 
 def test_bounded_rank_matches_sympy(monkeypatch):
     calls = []
-    original_pass, original_rows = bqp01.analysis._rank_one, bqp01.analysis._row_basis
+    original_pass, original_rows = bqp01.analysis._rank_one, bqp01.analysis._row_reduce
 
     def rank_one(matrix):
         calls.append("rank one")
         return original_pass(matrix)
 
-    def row_basis(matrix, max_pivots):
+    def row_reduce(matrix, max_pivots=None):
         calls.append(max_pivots)
         return original_rows(matrix, max_pivots)
 
     monkeypatch.setattr(bqp01.analysis, "_rank_one", rank_one)
-    monkeypatch.setattr(bqp01.analysis, "_row_basis", row_basis)
+    monkeypatch.setattr(bqp01.analysis, "_row_reduce", row_reduce)
     rng = random.Random(33)
     cases = [[[0] * 4] * 3, [[0] * 5], [[3, 0, -1, 2]], [[0], [2], [0]]]
     cases += [random_matrix(rng, 1, rng.randint(1, 6), -3, 3) for _ in range(10)]
@@ -163,16 +156,15 @@ def test_bounded_rank_matches_sympy(monkeypatch):
     at_limit = over_limit = 0
     for q in cases:
         rank = sympy.Matrix(q).rank()
-        full = bareiss(q)
+        full = eliminate(q)
         assert len(full[1]) == rank
         kept = kept_rows(q)
         for limit in range(0, 5):
-            basis = original_rows(q, limit + 1)
+            found = original_rows(q, limit + 1)
             if rank > limit:
-                assert basis is None
-            else:  # finished: the rows that raise the rank, and q's pivots
-                assert basis == [q[i] for i in kept] and len(basis) == rank
-                assert _eliminate(basis)[1] == full[1]
+                assert found is None
+            else:  # finished: the rows that raise the rank, reduced, and q's pivots
+                assert found == eliminate([q[i] for i in kept]) and found[1] == full[1]
             at_limit += rank == limit
             over_limit += rank == limit + 1
         # Any order of limits gives sympy's answer.  A limit that the
@@ -201,39 +193,6 @@ def test_bounded_rank_matches_sympy(monkeypatch):
     calls.clear()
     assert work.rank_at_most(1) is None and work.rank_at_most(6).p == 3
     assert calls == ["rank one", 2, 7]
-
-
-def eliminate(matrix, max_pivots=None):
-    """Bareiss elimination exactly as ``bareiss`` ran before it recognised
-    rank <= 1 in one pass, with the pivot bound that rank queries passed
-    before the row pass: the reference both passes must reproduce."""
-    rows = [list(row) for row in matrix]
-    m = len(rows)
-    pivots = []
-    prev = 1
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        if r + 1 == max_pivots:
-            pivots.append(col)
-            break
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        top = rows[r]
-        pivot = top[col]
-        for i, row in enumerate(rows):
-            factor = row[col]
-            if i != r and (factor or pivot != prev):
-                lo = col if i > r else 0
-                row[lo:] = [(pivot * a - factor * b) // prev for a, b in zip(row[lo:], top[lo:])]
-        pivots.append(col)
-        prev = pivot
-    if prev < 0:
-        return [[-v for v in row] for row in rows], pivots, -prev
-    return rows, pivots, prev
 
 
 ENTRIES = st.one_of(
@@ -299,20 +258,28 @@ def near_rank_one(draw):
 @example([])
 def test_rank_one_pass_returns_what_elimination_returns(q):
     copy = [list(row) for row in q]
-    # The pass answers every matrix of rank <= 1, and no other.
-    assert (_rank_one(q) is None) == (len(eliminate(q)[1]) > 1)
-    got, want = bareiss(q), eliminate(q)
-    assert got == want and repr(got) == repr(want)
-    assert len({id(row) for row in got[0]}) == len(got[0])  # no row shared
-    # The row pass stops at its bound, and otherwise keeps rows of q whose
-    # elimination has q's pivots.
+    full = eliminate(q)
+    # The row pass finishes the rows that raise the rank to their
+    # elimination, with q's pivots and RREF, sharing no row with q or with
+    # itself.
+    got, want = _row_reduce(q), eliminate([q[i] for i in kept_rows(q)])
+    assert got == want and repr(got) == repr(want) and got[1] == full[1]
+    rref = [[Fraction(v, full[2]) for v in row] for row in full[0][: len(full[1])]]
+    assert [[Fraction(v, got[2]) for v in row] for row in got[0]] == rref
+    assert len({id(row) for row in got[0]}) == len(got[0])
+    assert not {id(row) for row in got[0]} & {id(row) for row in q}
+    # The rank <= 1 pass answers every matrix of rank <= 1, and no other,
+    # with the row pass's result.
+    one = _rank_one(q)
+    assert (one is None) == (len(full[1]) > 1)
+    if one is not None:
+        assert one == got and repr(one) == repr(got)
+    # The row pass stops at its bound, and otherwise finishes.
     for max_pivots in (1, 2, 3, 7):
-        basis = _row_basis(q, max_pivots)
-        assert (basis is None) == (len(want[1]) >= max_pivots)
-        if basis is not None:
-            at = [next(i for i, row in enumerate(q) if row is kept) for kept in basis]
-            assert at == sorted(set(at))  # rows of q itself, in order
-            assert len(basis) == len(want[1]) and _eliminate(basis)[1] == want[1]
+        found = _row_reduce(q, max_pivots)
+        assert (found is None) == (len(full[1]) >= max_pivots)
+        if found is not None:
+            assert repr(found) == repr(got)
     assert [list(row) for row in q] == copy
 
 
@@ -368,12 +335,12 @@ def test_row_pass_keeps_the_parents_factorization(q):
     rank = len(kept)
     found = []
     for limit in range(8):
-        basis = _row_basis(q, limit + 1)
+        reduced = _row_reduce(q, limit + 1)
         fact = Instance(q).integer.rank_at_most(limit)
         parent = parent_factorize(q, limit + 1)
-        assert (basis is None) == (fact is None) == (parent is None) == (rank > limit)
+        assert (reduced is None) == (fact is None) == (parent is None) == (rank > limit)
         if fact is not None:
-            assert basis == [q[i] for i in kept]
+            assert reduced == eliminate([q[i] for i in kept])
             assert (fact.p, fact.left) == (parent.p, parent.left) and fact.p == rank
             found.append(fact)
     if not found:
@@ -409,12 +376,12 @@ def test_row_pass_reads_rows_up_to_its_bound_only():
                     read.append(row)
                     yield row
 
-            basis = _row_basis(rows(), limit + 1)
+            found = _row_reduce(rows(), limit + 1)
             if len(kept) > limit:
-                assert basis is None and len(read) == kept[limit] + 1
+                assert found is None and len(read) == kept[limit] + 1
                 independent_first += kept[limit] == zeros + limit
             else:
-                assert basis == [q[i] for i in kept] and len(read) == len(q)
+                assert found == eliminate([q[i] for i in kept]) and len(read) == len(q)
     assert independent_first > 20
 
 

@@ -180,6 +180,38 @@ def test_explicit_algorithm_precondition_failures():
         dispatch_solve(sample_general(), "magic")
 
 
+def routes_that_apply(q):
+    """Each route that applies to the m x n matrix q: mincut, additive and
+    rank1 exactly where q has no negative entry, is additive, or has rank
+    <= 1 by its 2x2 minors; rankp, enum and eliminator always."""
+    m, n = len(q), len(q[0])
+    minors = [(i, k, j, l) for i, k in combinations(range(m), 2) for j, l in combinations(range(n), 2)]
+    return {
+        "mincut": min(map(min, q)) >= 0,
+        "additive": not any(q[i][j] + q[k][l] - q[i][l] - q[k][j] for i, k, j, l in minors),
+        "rank1": not any(q[i][j] * q[k][l] - q[i][l] * q[k][j] for i, k, j, l in minors),
+        "rankp": True,
+        "enum": True,
+        "eliminator": True,
+    }
+
+
+def check_every_route(inst, applies):
+    """auto and every forced route that applies reach solve_oracle's value."""
+    best = solve_oracle(inst).value
+    auto = dispatch_solve(inst)
+    assert auto.solution.value == best, inst
+    # Forcing auto's route would run the same solver on the same facts.
+    for route in [route for route, holds in applies.items() if holds and route != auto.algorithm]:
+        assert dispatch_solve(inst, route).solution.value == best, (route, inst)
+
+
+def check_refusals(q, applies):
+    for route in [route for route, holds in applies.items() if not holds]:
+        with pytest.raises(ValueError):
+            dispatch_solve(Instance(q), route)
+
+
 @pytest.mark.parametrize("m, n", [(2, 2), (1, 3), (3, 1)])
 def test_every_route_on_every_small_instance(m, n):
     """Every m x n instance with q, c and d in {-1, 0, 1}: 6,561 at 2 x 2,
@@ -188,28 +220,41 @@ def test_every_route_on_every_small_instance(m, n):
     each matrix, exactly where it has a negative entry, is not additive,
     or has rank > 1 by its 2x2 minors.  Zero and repeated rows, where the
     detectors compare a row with an earlier one, are common at this scope."""
-    minors = [(i, k, j, l) for i, k in combinations(range(m), 2) for j, l in combinations(range(n), 2)]
     for cells in product((-1, 0, 1), repeat=m * n):
         q = [cells[i * n:(i + 1) * n] for i in range(m)]
-        applies = {
-            "mincut": min(cells) >= 0,
-            "additive": not any(q[i][j] + q[k][l] - q[i][l] - q[k][j] for i, k, j, l in minors),
-            "rank1": not any(q[i][j] * q[k][l] - q[i][l] * q[k][j] for i, k, j, l in minors),
-            "rankp": True,
-            "enum": True,
-            "eliminator": True,
-        }
-        for route in [route for route, holds in applies.items() if not holds]:
-            with pytest.raises(ValueError):
-                dispatch_solve(Instance(q), route)
+        applies = routes_that_apply(q)
+        check_refusals(q, applies)
         for linear in product((-1, 0, 1), repeat=m + n):
-            inst = Instance(q, linear[:m], linear[m:])
-            best = solve_oracle(inst).value
-            auto = dispatch_solve(inst)
-            assert auto.solution.value == best, inst
-            # Forcing auto's route would run the same solver on the same facts.
-            for route in [route for route, holds in applies.items() if holds and route != auto.algorithm]:
-                assert dispatch_solve(inst, route).solution.value == best, (route, inst)
+            check_every_route(Instance(q, linear[:m], linear[m:]), applies)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
+def test_every_route_on_sampled_small_instances(m, n):
+    """2,000 seeded m x n draws of q, c and d in {-1, 0, 1}, checked as in
+    the exhaustive test above.  One draw in three has a zero row, a
+    repeated row or c = 0 planted, so that about half of the draws (2 x 3)
+    or more (3 x 2) have one: the rows where the rank <= 1 pass and the row
+    pass compare a row with an earlier one, and the rank-one case the
+    paper solves in O(n)."""
+    rng = random.Random(10 * m + n)
+    signs = (-1, 0, 1)
+    special = 0
+    for _ in range(2000):
+        q = [[rng.choice(signs) for _ in range(n)] for _ in range(m)]
+        c, d = [rng.choice(signs) for _ in range(m)], [rng.choice(signs) for _ in range(n)]
+        plant = rng.randrange(9)
+        if plant == 0:
+            q[rng.randrange(m)] = [0] * n
+        elif plant == 1:
+            i, k = rng.sample(range(m), 2)
+            q[k] = list(q[i])
+        elif plant == 2:
+            c = [0] * m
+        special += [0] * n in q or len(set(map(tuple, q))) < m or not any(c)
+        applies = routes_that_apply(q)
+        check_refusals(q, applies)
+        check_every_route(Instance(q, c, d), applies)
+    assert special > 800
 
 
 def test_refusal_carries_analysis_report():
@@ -584,16 +629,16 @@ def test_routes_eliminate_the_full_matrix_at_most_once(rank_work):
     ]
     for inst, limits, route in cases:
         rank, limit = rank_factorize(inst.q).p, limits.get("p_limit", 6)
-        m, n = sorted((inst.m, inst.n))  # the shorter side is enumerated
+        m = min(inst.m, inst.n)  # the shorter side is enumerated
         rank_work.clear()
         assert dispatch_solve(inst, **limits).algorithm == route
         # One query: the rank <= 1 pass finishes rank one.  Otherwise the row
-        # pass reads every row and only its basis is eliminated when the rank
-        # is within p_limit, and reads limit + 1 rows when it is not.
+        # pass reads every row and finishes its basis when the rank is within
+        # p_limit, and reads limit + 1 rows when it is not.
         if rank <= 1:
             assert rank_work == [("rank one", m, True)]
         elif rank <= limit:
-            assert rank_work == [("rank one", m, False), ("rows", m, m, rank), ("eliminate", rank, n)]
+            assert rank_work == [("rank one", m, False), ("rows", m, m, rank)]
         else:
             assert rank_work == [("rank one", m, False), ("rows", limit + 1, m, None)]
 
@@ -611,21 +656,18 @@ def test_cli_refusal_prints_rank_bound_without_full_elimination(tmp_path, capsys
 @pytest.fixture
 def rank_work(monkeypatch):
     """What the rank queries did, in order: ("rank one", rows, answered) for
-    each rank <= 1 pass, ("rows", rows read, rows given, basis size or None)
-    for each row pass, and ("eliminate", rows, columns) for each elimination
-    of ``analysis`` (``bareiss`` runs one too; rankp's basis inverses, bound
-    at import, are not counted)."""
+    each rank <= 1 pass and ("rows", rows read, rows given, rank or None)
+    for each row pass of ``analysis`` (rankp's basis inverses, bound at
+    import, are not counted)."""
     work = []
-    rank_one, row_basis, eliminate = (
-        bqp01.analysis._rank_one, bqp01.analysis._row_basis, bqp01.analysis._eliminate
-    )
+    rank_one, row_reduce = bqp01.analysis._rank_one, bqp01.analysis._row_reduce
 
     def one_pass(matrix):
         found = rank_one(matrix)
         work.append(("rank one", len(matrix), found is not None))
         return found
 
-    def row_pass(matrix, max_pivots):
+    def row_pass(matrix, max_pivots=None):
         read = []
 
         def rows():
@@ -633,17 +675,12 @@ def rank_work(monkeypatch):
                 read.append(row)
                 yield row
 
-        basis = row_basis(rows(), max_pivots)
-        work.append(("rows", len(read), len(matrix), None if basis is None else len(basis)))
-        return basis
-
-    def eliminating(matrix):
-        work.append(("eliminate", len(matrix), len(matrix[0]) if matrix else 0))
-        return eliminate(matrix)
+        found = row_reduce(rows(), max_pivots)
+        work.append(("rows", len(read), len(matrix), None if found is None else len(found[1])))
+        return found
 
     monkeypatch.setattr(bqp01.analysis, "_rank_one", one_pass)
-    monkeypatch.setattr(bqp01.analysis, "_row_basis", row_pass)
-    monkeypatch.setattr(bqp01.analysis, "_eliminate", eliminating)
+    monkeypatch.setattr(bqp01.analysis, "_row_reduce", row_pass)
     return work
 
 
@@ -666,8 +703,8 @@ def test_cli_rank_queries_stop_the_elimination(args, code, limit, tmp_path, caps
         assert "rank=>6\n" in out
     elif code == 1:
         assert out == ""
-    # One query: its row pass reads limit + 1 of the 40 rows, and nothing
-    # is eliminated.
+    # One query: its row pass reads limit + 1 of the 40 rows and stops
+    # before finishing any.
     assert rank_work == [("rank one", 40, False), ("rows", limit + 1, 40, None)]
 
 

@@ -22,7 +22,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bqp01 import Instance, dispatch_solve, evaluate_objective, solve_enumeration
+from bqp01 import (
+    Instance,
+    dispatch_solve,
+    evaluate_objective,
+    generate_instance,
+    rank_factorize,
+    solve_enumeration,
+    transpose_instance,
+)
 
 from conftest import assert_mutual_best_response
 
@@ -147,3 +155,32 @@ def test_rank1_optimum_is_invariant_under_complementing_rows(seed):
     original = dispatch_solve(inst, "rank1").solution
     image = dispatch_solve(flipped, "rank1").solution
     check_route_pair(inst, original, flipped, image, rows)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_and_optimum_survive_permutations_and_transposition(seed):
+    """The row pass keeps basis rows in row order, so a row permutation
+    changes which rows it keeps, but not the rank or the RREF; permuting
+    rows or columns (with c or d) or transposing moves every point with
+    its value, so forced rankp, forced enum and auto keep the optimum.
+    Generated 12 x 40 instances of rank 2 or 3, and one each of rank 4, 5
+    and 6 (their rankp walks cost the most); every fourth has a leading
+    zero row and every fourth a repeated leading row."""
+    rng = random.Random(seed)
+    p = {0: 4, 1: 5, 2: 6}.get(seed, 2 + seed % 2)
+    inst = generate_instance(f"rank{p}", 12, 40, seed=seed)
+    q = [list(row) for row in inst.q]
+    if seed % 4 == 1:
+        q = [[0] * 40] + q[:11]
+    elif seed % 4 == 2:
+        q = [q[0]] + q[:11]
+    inst = Instance(q, inst.c, inst.d, inst.c0)
+    rows, cols = rng.sample(range(12), 12), rng.sample(range(40), 40)
+    by_rows = Instance([q[i] for i in rows], [inst.c[i] for i in rows], inst.d, inst.c0)
+    by_cols = Instance([[row[j] for j in cols] for row in q], inst.c, [inst.d[j] for j in cols], inst.c0)
+    assert inst.integer.rank_at_most(6).p == by_rows.integer.rank_at_most(6).p == p
+    assert rank_factorize(q).right == rank_factorize(by_rows.q).right
+    best = solve_enumeration(inst).value
+    for image in (inst, by_rows, by_cols, transpose_instance(inst)):
+        for route in ("rankp", "enum", "auto"):
+            assert dispatch_solve(image, route).solution.value == best, (route, image)

@@ -31,7 +31,7 @@ from bqp01 import (
     ulp_breakpoints,
 )
 from bqp01 import model, rank_one
-from bqp01.analysis import RankFactorization, bareiss, rank_factorize
+from bqp01.analysis import RankFactorization, rank_factorize
 from bqp01.fixed_rank import BasisStructure, enumerate_dual_feasible_bases
 from bqp01.fixtures import sample_general, sample_rank_one
 from bqp01.mincut import FlowNetwork, max_flow
@@ -53,7 +53,7 @@ from bqp01.rank_one import _integer_form as rank_one_integer_form
 from bqp01.textio import _read
 from bqp01.transforms import bqp01_to_cut, cut_to_bqp01
 
-from conftest import random_instance
+from conftest import eliminate, random_instance
 
 
 def _pairs(vectors):
@@ -138,6 +138,16 @@ def test_evaluate_integer_form_divides_by_its_scale():
             signs = [2 * v - 1 for v in x], [2 * v - 1 for v in y]
             value = evaluate_objective(cut.integer, x, y)
             assert type(value) is Fraction and value == evaluate_cut_objective(cut, *signs)
+
+
+def test_evaluate_refuses_a_cut_instance():
+    # The point's cut value is 3 by both forms below; the cut coefficients
+    # summed as if they were 0-1 ones would give 2.
+    cut = CutInstance([[1, -2], [3, 1]], [1, 0], [0, 2], 1)
+    assert evaluate_objective(cut.integer, (1, 0), (0, 1)) == 3
+    assert evaluate_cut_objective(cut, (1, -1), (-1, 1)) == 3
+    with pytest.raises(TypeError, match=r"evaluate_cut_objective.*\.integer"):
+        evaluate_objective(cut, (1, 0), (0, 1))
 
 
 def test_cut_evaluation_and_validation():
@@ -476,7 +486,8 @@ def _clear_denominators(vectors):
 
 def _rank_factorize(matrix):
     q = freeze_matrix(matrix)
-    rows, pivots, det = bareiss(_clear_denominators(q)[0])
+    # The column-driven elimination that rank_factorize ran before the row pass.
+    rows, pivots, det = eliminate(_clear_denominators(q)[0])
     left = tuple(tuple(row[col] for col in pivots) for row in q)
     right = tuple(tuple(Fraction(v, det) for v in row) for row in rows[: len(pivots)])
     return RankFactorization(len(pivots), left, right)
